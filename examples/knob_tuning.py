@@ -12,7 +12,7 @@ Run:
 """
 
 from repro.bench.reporting import format_series, format_table
-from repro.bench.runner import run_policy
+from repro.engine import ScenarioSpec, Session
 
 ALPHAS = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0]
 
@@ -21,9 +21,11 @@ def main() -> None:
     print("Knob sweep: Redis + YCSB, standard tier mix\n")
     rows = []
     for alpha in ALPHAS:
-        summary = run_policy(
-            "redis-ycsb", "am", alpha=alpha, mix="standard", windows=10, seed=0
-        )
+        summary = Session(
+            ScenarioSpec(
+                workload="redis-ycsb", policy="am", alpha=alpha, windows=10
+            )
+        ).run()
         rows.append(
             {
                 "alpha": alpha,

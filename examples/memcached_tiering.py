@@ -10,7 +10,7 @@ Run:
 """
 
 from repro.bench.reporting import format_table
-from repro.bench.runner import run_policy
+from repro.engine import ScenarioSpec, Session
 
 POLICIES = ["hemem", "gswap", "tmo", "waterfall", "am-tco", "am-perf"]
 
@@ -20,9 +20,9 @@ def main() -> None:
     print("(DRAM + Optane NVMM + CT-1 lzo/DRAM + CT-2 zstd/Optane)\n")
     rows = []
     for policy in POLICIES:
-        summary = run_policy(
-            "memcached-ycsb", policy, mix="standard", windows=12, seed=0
-        )
+        summary = Session(
+            ScenarioSpec(workload="memcached-ycsb", policy=policy, windows=12)
+        ).run()
         rows.append(
             {
                 "policy": summary.policy,

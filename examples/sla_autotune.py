@@ -2,18 +2,19 @@
 """SLA-aware knob auto-tuning.
 
 The paper's abstract targets "the best SLA-aware performance per dollar";
-this example closes the loop the paper leaves to the operator: an
-:class:`~repro.core.slo.SLOController` watches each window's measured
-slowdown and retunes the analytical model's alpha to harvest as much TCO
-as the SLA tolerates.
+this example closes the loop the paper leaves to the operator: the
+one-knob :class:`~repro.adaptive.controller.AdaptiveController`
+(:data:`~repro.adaptive.controller.ONE_KNOB`) watches each window's
+measured mean slowdown and retunes the analytical model's alpha to
+harvest as much TCO as the SLA tolerates.
 
 Run:
     python examples/sla_autotune.py
 """
 
+from repro.adaptive import run_sla_tuned
 from repro.bench.configs import standard_mix
 from repro.bench.reporting import format_series, format_table
-from repro.core.slo import run_sla_tuned
 from repro.mem.address_space import AddressSpace
 from repro.mem.system import TieredMemorySystem
 from repro.workloads.kv import KVWorkload

@@ -1,7 +1,7 @@
 """Adaptive control loop: online alpha tuning + predictive hotness.
 
 The paper exposes alpha as a static knob the operator picks per
-workload (§6.3); this package closes the loop.  Three pieces:
+workload (§6.3); this package closes the loop.  Four pieces:
 
 * :class:`~repro.adaptive.controller.AdaptiveController` -- the
   windowed multi-knob MIMD controller (alpha + waterfall demotion
@@ -14,12 +14,15 @@ workload (§6.3); this package closes the loop.  Three pieces:
 * :class:`~repro.adaptive.policy.AdaptivePolicy` -- the registry
   backend (``policy = "adaptive"``) combining both around the paper's
   analytical model, end-to-end through run / fleet / serve / chaos /
-  arena.
+  arena;
+* :func:`~repro.adaptive.sla.run_sla_tuned` -- the one-knob SLA loop
+  (:data:`~repro.adaptive.controller.ONE_KNOB`: alpha only, mean
+  slowdown) retuning a bare analytical model every window.
 
 Operator guide: docs/TUNING.md.  Architecture: DESIGN.md §15.
 """
 
-from repro.adaptive.controller import AdaptiveConfig, AdaptiveController
+from repro.adaptive.controller import ONE_KNOB, AdaptiveConfig, AdaptiveController
 from repro.adaptive.forecast import HotnessForecaster
 from repro.adaptive.policy import (
     ALPHA_METRIC,
@@ -28,6 +31,7 @@ from repro.adaptive.policy import (
     STEPS_METRIC,
     AdaptivePolicy,
 )
+from repro.adaptive.sla import run_sla_tuned
 
 __all__ = [
     "ALPHA_METRIC",
@@ -36,6 +40,8 @@ __all__ = [
     "AdaptivePolicy",
     "DEMOTION_METRIC",
     "HotnessForecaster",
+    "ONE_KNOB",
     "SPECULATIVE_METRIC",
     "STEPS_METRIC",
+    "run_sla_tuned",
 ]

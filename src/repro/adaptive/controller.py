@@ -1,8 +1,11 @@
-"""Windowed multi-knob controller: the MIMD alpha loop, generalized.
+"""Windowed multi-knob controller: the MIMD alpha loop.
 
-:class:`~repro.core.slo.SLOController` closes the loop on one knob
-(alpha) from one signal (mean slowdown).  :class:`AdaptiveController`
-generalizes it into the controller the serving stack runs:
+The simplest loop closes on one knob (alpha) from one signal (mean
+slowdown): back off on a violating window, harvest on a comfortable
+one.  That loop is the :data:`ONE_KNOB` configuration, which the fleet
+rebalancer and the SLA experiment run.  The default
+:class:`AdaptiveConfig` generalizes it into the controller the serving
+stack runs:
 
 * **two knobs** -- alpha (the paper's TCO-vs-performance dial) and the
   waterfall demotion percentile (how much of the cold tail the policy
@@ -71,8 +74,8 @@ class AdaptiveConfig:
         hysteresis_windows: Consecutive comfortable windows before a
             harvest fires.
         cooldown_windows: Mandatory hold windows after any step.
-        history_limit: Ring-buffer cap on the observation history (the
-            PR-10 fix for the unbounded ``SLOController.history``).
+        history_limit: Ring-buffer cap on the observation history (long
+            serve runs observe once per window forever).
         trace_limit: Ring-buffer cap on the decision trace.
         forecast: Enable the predictive hotness forecaster.
         forecast_states: Markov states the forecaster discretizes
@@ -169,6 +172,24 @@ class AdaptiveConfig:
 
     def with_(self, **changes) -> "AdaptiveConfig":
         return replace(self, **changes)
+
+
+#: The one-knob SLA loop: alpha walks on the mean-slowdown signal,
+#: backing off on the first violating window and harvesting a fixed step
+#: on the first comfortable one, with no jitter, cooldown or forecast.
+#: Callers set ``target_slowdown``, the clamp range and a
+#: ``start_alpha`` already clamped into it.
+ONE_KNOB = AdaptiveConfig(
+    signal="mean",
+    comfort_ratio=0.8,
+    backoff_gain=0.5,
+    harvest_step=0.05,
+    harvest_jitter=0.0,
+    violation_windows=1,
+    hysteresis_windows=1,
+    cooldown_windows=0,
+    forecast=False,
+)
 
 
 class AdaptiveController:

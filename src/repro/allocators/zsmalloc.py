@@ -19,7 +19,6 @@ object ever stored).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -64,20 +63,6 @@ def zspage_geometry(cls: int) -> tuple[int, int]:
             best = (pages, objs)
             best_waste = waste
     return best
-
-
-@dataclass(slots=True)
-class _Zspage:
-    """Pre-SoA zspage record; kept only so old pickles still load."""
-
-    pfn: int
-    pages: int
-    capacity: int
-    objects: set[int] = field(default_factory=set)
-
-    @property
-    def full(self) -> bool:
-        return len(self.objects) >= self.capacity
 
 
 class ZsmallocAllocator(PoolAllocator):
@@ -378,37 +363,3 @@ class ZsmallocAllocator(PoolAllocator):
                 s for s in partial if 0 < zs_count[s] < zs_capacity[s]
             ]
         return pages_reclaimed, objects_moved
-
-    # -- pickling ------------------------------------------------------------
-
-    def __setstate__(self, state) -> None:
-        if "_zspage_of" not in state:
-            self.__dict__.update(state)
-            return
-        # Pre-SoA pickle: _Zspage objects with member sets, dict-backed
-        # membership.  Rebuild the slot columns.
-        self.stored_bytes = state["stored_bytes"]
-        self.stored_objects = state["stored_objects"]
-        self._next_id = state["_next_id"]
-        self._buddy = state["_buddy"]
-        self._pool_pages = state["_pool_pages"]
-        class_of = state["_class_of"]
-        slot_of: dict[int, int] = {}
-        self._zs_pfn, self._zs_pages = [], []
-        self._zs_capacity, self._zs_count, self._zs_cls = [], [], []
-        self._zs_free_slots = []
-        self._obj_zspage = np.full(max(self._next_id, 1024), -1, dtype=np.int32)
-        for object_id, zspage in state["_zspage_of"].items():
-            slot = slot_of.get(id(zspage))
-            if slot is None:
-                slot = slot_of[id(zspage)] = len(self._zs_pfn)
-                self._zs_pfn.append(zspage.pfn)
-                self._zs_pages.append(zspage.pages)
-                self._zs_capacity.append(zspage.capacity)
-                self._zs_count.append(len(zspage.objects))
-                self._zs_cls.append(class_of[object_id])
-            self._obj_zspage[object_id] = slot
-        self._partial = {
-            cls: [slot_of[id(z)] for z in zspages]
-            for cls, zspages in state["_partial"].items()
-        }

@@ -421,7 +421,7 @@ def exp_sla(
     targets=(0.02, 0.05, 0.15), windows: int = 15, seed: int = 0
 ) -> list[dict]:
     """SLA-aware knob auto-tuning: harvested TCO per slowdown budget."""
-    from repro.core.slo import run_sla_tuned
+    from repro.adaptive import run_sla_tuned
     from repro.engine.build import build_system
     from repro.workloads.registry import make_workload
 

@@ -113,7 +113,7 @@ def validate_c1(windows: int = 8, seed: int = 0) -> ClaimResult:
 
 def validate_c2(windows: int = 8, seed: int = 0) -> ClaimResult:
     """C2: the knob configures distinct cost-performance points."""
-    from repro.bench.runner import run_policy
+    from repro.engine import ScenarioSpec, Session
 
     t0 = time.time()
     details: list[str] = []
@@ -122,13 +122,15 @@ def validate_c2(windows: int = 8, seed: int = 0) -> ClaimResult:
     savings = []
     slowdowns = []
     for alpha in alphas:
-        summary = run_policy(
-            "memcached-ycsb",
-            "am",
-            alpha=alpha,
-            windows=windows,
-            seed=seed,
-        )
+        summary = Session(
+            ScenarioSpec(
+                workload="memcached-ycsb",
+                policy="am",
+                alpha=alpha,
+                windows=windows,
+                seed=seed,
+            )
+        ).run()
         savings.append(100 * summary.tco_savings)
         slowdowns.append(100 * summary.slowdown)
     ok &= _check(

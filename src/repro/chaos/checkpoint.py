@@ -23,9 +23,11 @@ walk dominates its time.  A v2 blob is a small envelope ``{"version",
 :class:`~repro.mem.pagetable.light_pickle` (every
 :class:`~repro.mem.pagetable.PageTable` serialized shape-only) and
 ``columns`` carries each stripped table's columns as raw ``np.save``
-buffers, re-attached in graph-traversal order on restore.  v1 blobs
-(pre-SoA object graphs) still load through the legacy ``__setstate__``
-converters on Region/RegionSet/AddressSpace/CompressedTier/Zsmalloc.
+buffers, re-attached in graph-traversal order on restore.  v1 blobs (the
+pre-SoA object graphs) are rejected, as is anything that does not
+unpickle into a v2 envelope: :func:`restore_session` raises one
+``ValueError`` naming the problem, which ``serve --resume`` reports with
+exit status 2.
 """
 
 from __future__ import annotations
@@ -39,6 +41,29 @@ import numpy as np
 from repro.mem.pagetable import light_pickle
 
 CHECKPOINT_VERSION = 2
+
+#: What unpickling a truncated, corrupt or pre-v2 blob raises.  A v1
+#: graph names record classes that no longer exist (AttributeError);
+#: random or bit-flipped bytes raise the rest, including MemoryError and
+#: OverflowError for absurd length prefixes.
+_UNREADABLE = (
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    KeyError,
+    MemoryError,
+    OverflowError,
+    TypeError,
+    ValueError,
+)
+
+
+def _unsupported(problem: str) -> ValueError:
+    return ValueError(
+        f"{problem}: only v{CHECKPOINT_VERSION} checkpoints load; "
+        "v1 checkpoints are unsupported"
+    )
 
 
 def _save_columns(table) -> dict[str, bytes]:
@@ -129,26 +154,29 @@ def restore_session(blob: bytes, *, hooks=(), obs=None, sink=None):
     from repro.engine.session import Session
     from repro.engine.spec import ScenarioSpec
 
-    state = pickle.loads(blob)
-    version = state.get("version")
-    if version == 2:
-        with light_pickle() as lp:
-            graph = pickle.loads(state["graph"])
-        if len(lp.tables) != len(state["columns"]):
-            raise ValueError(
-                f"checkpoint carries {len(state['columns'])} column sets "
-                f"but the graph holds {len(lp.tables)} page tables"
-            )
-        for table, blobs in zip(lp.tables, state["columns"]):
-            table.attach_columns(_load_columns(blobs))
-        state = graph
-    elif version != 1:
-        # v1 blobs are the bare state dict; the legacy ``__setstate__``
-        # converters already rebuilt its object graph columnar by the
-        # time pickle.loads returned.
-        raise ValueError(
-            f"checkpoint version {version!r} not in (1, {CHECKPOINT_VERSION})"
+    try:
+        envelope = pickle.loads(blob)
+        version = (
+            envelope.get("version") if isinstance(envelope, dict) else None
         )
+        if version == CHECKPOINT_VERSION:
+            with light_pickle() as lp:
+                state = pickle.loads(envelope["graph"])
+    except _UNREADABLE as exc:
+        detail = " ".join(str(exc).split())
+        raise _unsupported(
+            f"unreadable checkpoint ({type(exc).__name__}: {detail})"
+        ) from exc
+    if version != CHECKPOINT_VERSION:
+        raise _unsupported(f"unsupported checkpoint version {version!r}")
+    columns = envelope["columns"]
+    if len(lp.tables) != len(columns):
+        raise ValueError(
+            f"checkpoint carries {len(columns)} column sets "
+            f"but the graph holds {len(lp.tables)} page tables"
+        )
+    for table, blobs in zip(lp.tables, columns):
+        table.attach_columns(_load_columns(blobs))
     spec = ScenarioSpec.from_dict(state["spec"])
     session = Session(
         spec,

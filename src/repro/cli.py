@@ -1,4 +1,4 @@
-"""Command-line interface: run any experiment, scenario or policy.
+"""Command-line interface: run any experiment or scenario.
 
 Examples::
 
@@ -8,7 +8,6 @@ Examples::
     python -m repro run scenario.json             # run a scenario file
     python -m repro run scenario.json --trace t.json --metrics m.prom
     python -m repro report run_events.jsonl       # digest an event export
-    python -m repro policy memcached-ycsb am-tco  # one policy run
     python -m repro workloads                     # Table 2
     python -m repro tiers --profile nci --k 5     # auto tier selection
 
@@ -28,7 +27,6 @@ from typing import Callable
 
 from repro.bench import experiments
 from repro.bench.reporting import format_table
-from repro.bench.runner import run_policy
 from repro.obs import LOG_LEVELS, configure_logging, get_logger
 
 _log = get_logger("cli")
@@ -401,37 +399,6 @@ def cmd_arena(args) -> int:
     if args.out:
         print(f"artifacts written to {args.out}/")
     return 0 if result.all_ok else 1
-
-
-def cmd_policy(args) -> int:
-    try:
-        summary = run_policy(
-            args.workload,
-            args.policy,
-            mix=args.mix,
-            windows=args.windows,
-            percentile=args.percentile,
-            alpha=args.alpha,
-            seed=args.seed,
-        )
-    except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"invalid policy run: {message}", file=sys.stderr)
-        return 2
-    print(format_table([summary.row()], title=f"{args.workload} / {args.policy}"))
-    print(f"p99.9 latency : {summary.p999_latency_ns:.0f} ns")
-    print(f"migration     : {summary.migration_ns / 1e6:.1f} ms (daemon)")
-    print(f"solver        : {summary.solver_ns / 1e6:.1f} ms")
-    return 0
-
-
-def cmd_config(args) -> int:
-    from repro.config import ExperimentConfig
-
-    config = ExperimentConfig.load(args.path)
-    summary = config.run()
-    print(format_table([summary.row()], title=config.tag))
-    return 0
 
 
 def cmd_validate(args) -> int:
@@ -825,7 +792,7 @@ def cmd_tiers(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="TierScape reproduction: experiments and policy runs",
+        description="TierScape reproduction: experiments and scenario runs",
     )
     parser.add_argument(
         "--log-level",
@@ -928,18 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
         "manifest.json, figures/)",
     )
     arena.set_defaults(func=cmd_arena)
-
-    policy = sub.add_parser("policy", help="run one (workload, policy) pair")
-    policy.add_argument("workload", help="registry name, e.g. memcached-ycsb")
-    policy.add_argument(
-        "policy", help="registry policy name (see 'repro list')"
-    )
-    policy.add_argument("--mix", default="standard", help="standard|spectrum|single")
-    policy.add_argument("--windows", type=int, default=10)
-    policy.add_argument("--percentile", type=float, default=25.0)
-    policy.add_argument("--alpha", type=float, default=None)
-    policy.add_argument("--seed", type=int, default=0)
-    policy.set_defaults(func=cmd_policy)
 
     fleet = sub.add_parser(
         "fleet", help="simulate a fleet of tiered-memory nodes in parallel"
@@ -1179,10 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("workloads", help="print the workload registry").set_defaults(
         func=cmd_workloads
     )
-
-    config = sub.add_parser("config", help="run a JSON experiment config")
-    config.add_argument("path", help="path to an ExperimentConfig JSON file")
-    config.set_defaults(func=cmd_config)
 
     validate = sub.add_parser(
         "validate", help="check the paper's artifact claims (C1, C2)"

@@ -14,6 +14,10 @@ Each profile window the daemon:
 
 The daemon separates application time (access + fault service) from daemon
 tax (profiling, solving, migration) exactly as the paper's §8.4 does.
+
+:meth:`TSDaemon.run_window` is the per-window body; the loop that pulls
+access batches from a workload and drives it window after window is
+:class:`repro.engine.session.Session`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from repro.mem.migration import MigrationEngine
 from repro.mem.stats import tier_rollup
 from repro.mem.system import TieredMemorySystem
 from repro.obs import NULL_OBS, Observability
-from repro.workloads.base import Workload
 
 
 @dataclass
@@ -346,18 +349,6 @@ class TSDaemon:
         self._m_tco.set(100.0 * window_record.tco_savings)
         self._m_solver_ns.observe(solver_ns)
         return window_record
-
-    def run(self, workload: Workload, num_windows: int) -> RunSummary:
-        """Drive ``num_windows`` profile windows of a workload."""
-        if workload.num_pages > self.system.space.num_pages:
-            raise ValueError(
-                f"workload touches {workload.num_pages} pages but the "
-                f"address space has {self.system.space.num_pages}"
-            )
-        for _ in range(num_windows):
-            page_ids = workload.next_window()
-            self.run_window(page_ids, write_fraction=workload.write_fraction)
-        return self.summary(workload.name)
 
     def latency_percentile(self, p: float) -> float:
         """Run-level access-latency percentile from the log-binned

@@ -1,10 +1,8 @@
 """Canonical construction path: names -> simulator objects.
 
 This module owns the mapping from declarative names (tier-mix, policy)
-to built objects.  It absorbed ``build_system``/``make_policy`` from
-``repro.bench.runner`` so that the bench harness, the fleet runner and
-the CLI all construct systems and policies through one seam; the old
-``repro.bench.runner`` imports remain as thin aliases.
+to built objects, so that the bench harness, the fleet runner and the
+CLI all construct systems and policies through one seam.
 
 Policy construction itself now lives in the extensible
 :mod:`repro.policies` registry -- :func:`make_policy` here is a

@@ -2,9 +2,10 @@
 
 ``Session`` turns a :class:`~repro.engine.spec.ScenarioSpec` into live
 simulator objects (workload, tiered system, policy, daemon) and owns the
-single instrumented window loop that used to be re-implemented by
-``TSDaemon.run``, ``bench.runner.run_policy`` and the fleet's per-node
-worker body.  Each window it emits structured
+one window loop: every caller -- the CLI, the figure drivers, the fleet
+worker, the arena, the live serving daemon and the examples -- drives
+:meth:`Session.run` or :meth:`Session.run_window`, which wraps the
+daemon's per-window body.  Each window it emits structured
 :class:`~repro.engine.events.EngineEvent` records that the bench
 exporters and the fleet's JSONL stream consume directly.
 

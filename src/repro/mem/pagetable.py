@@ -257,10 +257,6 @@ class PageTable:
         for name in self.PAGE_COLUMNS + self.REGION_COLUMNS:
             # Light pickle: placeholder columns until attach_columns().
             setattr(self, name, state.get(name))
-        if not stripped and self.alloc_site is None:
-            # Full pickle from before the alloc_site column: restore the
-            # pre-column default (one allocation site per region).
-            self.alloc_site = self.region_id.astype(np.int32)
         if stripped and _STRIPPED is not None:
             # Unpickling traverses the graph in the same order pickling
             # did, so the restore side can zip stripped tables with the

@@ -7,6 +7,8 @@ import pytest
 
 from repro.allocators import ZsmallocAllocator
 from repro.compression.registry import algorithm
+from repro.engine.session import Session
+from repro.engine.spec import ScenarioSpec
 from repro.mem.address_space import AddressSpace
 from repro.mem.media import DRAM, NVMM
 from repro.mem.page import PAGES_PER_REGION
@@ -34,6 +36,23 @@ def make_tiers(space: AddressSpace):
             capacity_pages=n,
         ),
     ]
+
+
+def daemon_session(system, model, workload, migration_filter=None, **spec):
+    """A :class:`Session` over prebuilt system, model and workload.
+
+    ``sampling_rate`` and the telemetry seed default to ``TSDaemon``'s
+    own (5000 and 0), not ``ScenarioSpec``'s (100 and ``seed + 1``).
+    """
+    spec.setdefault("sampling_rate", 5000)
+    spec.setdefault("daemon_seed", 0)
+    return Session(
+        ScenarioSpec(**spec),
+        workload=workload,
+        system=system,
+        policy=model,
+        migration_filter=migration_filter,
+    )
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.adaptive import (
     ALPHA_METRIC,
+    ONE_KNOB,
     STEPS_METRIC,
     AdaptiveConfig,
     AdaptiveController,
@@ -27,7 +28,6 @@ from repro.adaptive import (
     HotnessForecaster,
 )
 from repro.arena import ArenaSpec, run_arena
-from repro.core.slo import SLOController
 from repro.engine.session import Session
 from repro.engine.spec import ScenarioSpec
 from repro.obs import Observability
@@ -251,26 +251,30 @@ class TestForecasterGolden:
             forecaster.observe(np.zeros(4))
 
 
-class TestSLOControllerRegression:
-    """Satellite 4: the unbounded-history leak, pinned fixed."""
+class TestOneKnobControllerRegression:
+    """The unbounded-history leak, pinned fixed for the one-knob loop."""
 
     def test_history_ring_capped(self):
-        controller = SLOController(target_slowdown=0.05, history_limit=16)
+        controller = AdaptiveController(
+            ONE_KNOB.with_(target_slowdown=0.05, history_limit=16)
+        )
         for _ in range(100):
-            controller.observe(0.2)
+            controller.observe(0.0, mean_slowdown=0.2)
         assert len(controller.history) == 16
         assert controller.violations == 100
 
     def test_checkpoint_roundtrip_keeps_counts(self):
         import pickle
 
-        controller = SLOController(target_slowdown=0.05, history_limit=4)
+        controller = AdaptiveController(
+            ONE_KNOB.with_(target_slowdown=0.05, history_limit=4)
+        )
         for _ in range(10):
-            controller.observe(0.2)
+            controller.observe(0.0, mean_slowdown=0.2)
         clone = pickle.loads(pickle.dumps(controller))
         assert clone.violations == 10
         assert clone.history == controller.history
-        assert clone.history_limit == 4
+        assert clone.config.history_limit == 4
 
 
 class TestEndToEnd:

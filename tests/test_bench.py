@@ -1,10 +1,11 @@
-"""Tests for the bench harness: configs, runner, reporting."""
+"""Tests for the bench harness: configs, system/policy builders, reporting."""
 
 import pytest
 
 from repro.bench import configs, reporting
-from repro.bench.runner import MIXES, build_system, make_policy, run_policy
 from repro.core.metrics import RunSummary
+from repro.engine import ScenarioSpec, Session
+from repro.engine.build import MIXES, build_system, make_policy
 from repro.mem.address_space import AddressSpace
 from repro.mem.page import PAGES_PER_REGION
 from repro.workloads.masim import MasimWorkload
@@ -114,26 +115,30 @@ class TestRunner:
         with pytest.raises(KeyError):
             make_policy("autonuma")
 
-    def test_run_policy_smoke(self):
-        summary = run_policy(
-            "masim",
-            "waterfall",
-            windows=3,
-            workload_kwargs={"num_pages": 1024, "ops_per_window": 5000},
-        )
+    def test_session_smoke(self):
+        summary = Session(
+            ScenarioSpec(
+                workload="masim",
+                policy="waterfall",
+                windows=3,
+                workload_kwargs={"num_pages": 1024, "ops_per_window": 5000},
+            )
+        ).run()
         assert isinstance(summary, RunSummary)
         assert summary.windows == 3
         assert summary.policy == "Waterfall"
 
-    def test_run_policy_returns_daemon(self):
-        summary, daemon = run_policy(
-            "masim",
-            "gswap",
-            windows=2,
-            workload_kwargs={"num_pages": 1024, "ops_per_window": 5000},
-            return_daemon=True,
+    def test_session_keeps_daemon_records(self):
+        session = Session(
+            ScenarioSpec(
+                workload="masim",
+                policy="gswap",
+                windows=2,
+                workload_kwargs={"num_pages": 1024, "ops_per_window": 5000},
+            )
         )
-        assert len(daemon.records) == 2
+        session.run()
+        assert len(session.daemon.records) == 2
 
     def test_all_mixes_registered(self):
         assert set(MIXES) == {"standard", "spectrum", "single"}

@@ -1,5 +1,7 @@
 """Tests for co-location, trace record/replay, and the CLI."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -126,15 +128,16 @@ class TestTrace:
             record_trace(MasimWorkload(num_pages=1024), 0, tmp_path / "y")
 
     def test_trace_drives_daemon(self, tmp_path, system):
-        from repro.core.daemon import TSDaemon
         from repro.core.placement.waterfall import WaterfallModel
+        from tests.conftest import daemon_session
 
         workload = MasimWorkload(
             num_pages=system.space.num_pages, ops_per_window=2000, seed=7
         )
         path = record_trace(workload, 3, tmp_path / "d.npz")
-        daemon = TSDaemon(system, WaterfallModel(50.0), sampling_rate=1)
-        summary = daemon.run(TraceWorkload(path), 3)
+        summary = daemon_session(
+            system, WaterfallModel(50.0), TraceWorkload(path), sampling_rate=1
+        ).run(3)
         assert summary.windows == 3
 
 
@@ -157,16 +160,12 @@ class TestCLI:
         assert main(["run", "tab01"]) == 0
         assert "zsmalloc" in capsys.readouterr().out
 
-    def test_policy_run(self, capsys):
-        code = main(
-            [
-                "policy",
-                "masim",
-                "waterfall",
-                "--windows",
-                "2",
-            ]
+    def test_policy_run(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            json.dumps({"workload": "masim", "policy": "waterfall", "windows": 2})
         )
+        code = main(["run", str(path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "Waterfall" in out and "migration" in out

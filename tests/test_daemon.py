@@ -10,6 +10,7 @@ from repro.core.placement.static_threshold import StaticThresholdPolicy
 from repro.core.placement.waterfall import WaterfallModel
 from repro.mem.migration import MigrationEngine
 from repro.workloads.masim import MasimWorkload
+from tests.conftest import daemon_session
 
 
 class _NullModel:
@@ -25,74 +26,81 @@ def make_daemon(system, model=None, **kwargs):
     return TSDaemon(system, model or _NullModel(), **kwargs)
 
 
+def make_session(system, workload, model=None, **spec):
+    spec.setdefault("sampling_rate", 1)
+    return daemon_session(system, model or _NullModel(), workload, **spec)
+
+
 def small_workload(num_pages):
     return MasimWorkload(num_pages=num_pages, ops_per_window=5000, seed=3)
 
 
 class TestWindowLoop:
     def test_null_model_moves_nothing(self, system):
-        daemon = make_daemon(system)
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 3)
+        session = make_session(system, workload)
+        summary = session.run(3)
         assert summary.windows == 3
         assert summary.slowdown == pytest.approx(0.0, abs=1e-9)
         assert summary.tco_savings == pytest.approx(0.0, abs=1e-9)
-        assert daemon.engine.stats.pages_moved == 0
+        assert session.daemon.engine.stats.pages_moved == 0
 
     def test_records_per_window(self, system):
-        daemon = make_daemon(system, StaticThresholdPolicy("CT", 50.0))
         workload = small_workload(system.space.num_pages)
-        daemon.run(workload, 4)
-        assert len(daemon.records) == 4
-        for i, rec in enumerate(daemon.records):
+        session = make_session(system, workload, StaticThresholdPolicy("CT", 50.0))
+        session.run(4)
+        assert len(session.records) == 4
+        for i, rec in enumerate(session.records):
             assert rec.window == i
             assert rec.placement.sum() == system.space.num_pages
             assert rec.accesses == workload.ops_per_window
             assert rec.recommended.sum() == system.space.num_regions
 
     def test_tiering_saves_tco(self, system):
-        daemon = make_daemon(system, StaticThresholdPolicy("CT", 50.0))
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 5)
+        session = make_session(system, workload, StaticThresholdPolicy("CT", 50.0))
+        summary = session.run(5)
         assert summary.final_tco_savings > 0.05
 
     def test_faults_tracked(self, system):
-        daemon = make_daemon(
-            system, StaticThresholdPolicy("CT", 75.0), recency_windows=0
-        )
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 5)
-        window_faults = sum(int(r.faults.sum()) for r in daemon.records)
+        session = make_session(
+            system, workload, StaticThresholdPolicy("CT", 75.0), recency_windows=0
+        )
+        summary = session.run(5)
+        window_faults = sum(int(r.faults.sum()) for r in session.records)
         assert summary.total_faults == window_faults
         assert summary.total_faults > 0
 
     def test_workload_too_big_rejected(self, system):
-        daemon = make_daemon(system)
         workload = small_workload(system.space.num_pages * 2)
+        session = make_session(system, workload)
         with pytest.raises(ValueError, match="address space"):
-            daemon.run(workload, 1)
+            session.run(1)
 
     def test_hotness_propagated_to_regions(self, system):
-        daemon = make_daemon(system)
         workload = small_workload(system.space.num_pages)
-        daemon.run(workload, 2)
+        session = make_session(system, workload)
+        session.run(2)
         hotness = [r.hotness for r in system.space.regions]
         assert max(hotness) > 0
         assert hotness == [
-            pytest.approx(h) for h in daemon.records[-1].hotness
+            pytest.approx(h) for h in session.records[-1].hotness
         ]
 
     def test_analytical_records_solver_time(self, system):
-        daemon = make_daemon(system, AnalyticalModel(Knob(0.5), backend="greedy"))
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 3)
+        session = make_session(
+            system, workload, AnalyticalModel(Knob(0.5), backend="greedy")
+        )
+        summary = session.run(3)
         assert summary.solver_ns > 0
-        assert all(r.solver_ns > 0 for r in daemon.records)
+        assert all(r.solver_ns > 0 for r in session.records)
 
     def test_latency_percentiles_ordered(self, system):
-        daemon = make_daemon(system, StaticThresholdPolicy("CT", 75.0))
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 5)
+        session = make_session(system, workload, StaticThresholdPolicy("CT", 75.0))
+        summary = session.run(5)
         # Percentiles are ordered; the mean can exceed p95 on this
         # heavy-tailed distribution (rare multi-microsecond faults among
         # 33 ns DRAM hits), so only bound it by the extremes.
@@ -103,9 +111,9 @@ class TestWindowLoop:
         assert summary.p999_latency_ns > summary.p95_latency_ns
 
     def test_summary_extras(self, system):
-        daemon = make_daemon(system, WaterfallModel(50.0))
         workload = small_workload(system.space.num_pages)
-        summary = daemon.run(workload, 3)
+        session = make_session(system, workload, WaterfallModel(50.0))
+        summary = session.run(3)
         assert summary.extras["accesses"] == 3 * workload.ops_per_window
         assert summary.extras["app_ns"] > 0
 
@@ -155,12 +163,17 @@ class TestFaultDeltaAccounting:
             system, StaticThresholdPolicy("CT", 90.0), recency_windows=0
         )
 
+    def _forced_fault_session(self, system, workload):
+        return make_session(
+            system, workload, StaticThresholdPolicy("CT", 90.0), recency_windows=0
+        )
+
     def test_deltas_sum_to_cumulative(self, system):
-        daemon = self._forced_fault_daemon(system)
         workload = small_workload(system.space.num_pages)
-        daemon.run(workload, 4)
-        assert len(daemon.records) >= 3
-        per_window = np.stack([r.faults for r in daemon.records])
+        session = self._forced_fault_session(system, workload)
+        session.run(4)
+        assert len(session.records) >= 3
+        per_window = np.stack([r.faults for r in session.records])
         cumulative = np.array([t.stats.faults for t in system.tiers])
         assert (per_window.sum(axis=0) == cumulative).all()
 
@@ -183,11 +196,11 @@ class TestFaultDeltaAccounting:
         assert sum(1 for s in seen if s > 0) >= 3
 
     def test_prev_faults_tracks_cumulative(self, system):
-        daemon = self._forced_fault_daemon(system)
         workload = small_workload(system.space.num_pages)
-        daemon.run(workload, 3)
+        session = self._forced_fault_session(system, workload)
+        session.run(3)
         assert (
-            daemon._prev_faults
+            session.daemon._prev_faults
             == np.array([t.stats.faults for t in system.tiers])
         ).all()
 

@@ -240,9 +240,13 @@ class TestScenarioCLI:
         assert lines[0]["event"] == "window_start"
 
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
-        code = main(["run", self._write(tmp_path, policy="bogus")])
-        assert code == 2
-        assert "unknown policy" in capsys.readouterr().err
+        for overrides, message in (
+            ({"policy": "bogus"}, "unknown policy"),
+            ({"workload": "hadoop", "policy": "gswap"}, "unknown workload"),
+        ):
+            code = main(["run", self._write(tmp_path, **overrides)])
+            assert code == 2
+            assert message in capsys.readouterr().err
 
     def test_missing_scenario_file_exits_2(self, capsys):
         assert main(["run", "no/such/scenario.json"]) == 2

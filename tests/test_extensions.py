@@ -7,7 +7,6 @@ import pytest
 
 from repro.allocators import ZbudAllocator, ZsmallocAllocator
 from repro.compression.registry import algorithm
-from repro.core.daemon import TSDaemon
 from repro.core.placement.static_threshold import StaticThresholdPolicy
 from repro.core.prefetch import SpatialPrefetcher
 from repro.core.tier_select import (
@@ -22,6 +21,7 @@ from repro.mem.page import PAGES_PER_REGION
 from repro.mem.system import TieredMemorySystem
 from repro.mem.tier import ByteAddressableTier, CompressedTier
 from repro.workloads.masim import MasimWorkload
+from tests.conftest import daemon_session
 
 
 def system_with_twin_cts(same_algo: bool):
@@ -141,19 +141,18 @@ class TestSpatialPrefetcher:
             return TieredMemorySystem(tiers, sp)
 
         def run(prefetch_degree):
-            system = build()
-            daemon = TSDaemon(
-                system,
-                StaticThresholdPolicy("CT", 75.0),
-                sampling_rate=1,
-                recency_windows=0,
-                prefetch_degree=prefetch_degree,
-                seed=1,
-            )
             workload = MasimWorkload(
                 num_pages=space.num_pages, ops_per_window=3000, seed=5
             )
-            return daemon.run(workload, 6)
+            return daemon_session(
+                build(),
+                StaticThresholdPolicy("CT", 75.0),
+                workload,
+                sampling_rate=1,
+                recency_windows=0,
+                prefetch_degree=prefetch_degree,
+                daemon_seed=1,
+            ).run(6)
 
         without = run(None)
         with_pf = run(8)

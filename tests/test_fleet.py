@@ -146,16 +146,17 @@ class TestSolverServiceConfig:
 
 
 def _run_serviced(system, config, node_id, windows=2):
-    from repro.core.daemon import TSDaemon
+    from tests.conftest import daemon_session
 
     model = ServicedAnalyticalModel(
         Knob.am_tco(), config, node_id=node_id
     )
-    daemon = TSDaemon(system, model, sampling_rate=1)
     workload = MasimWorkload(
         num_pages=system.space.num_pages, ops_per_window=5000, seed=3
     )
-    summary = daemon.run(workload, windows)
+    summary = daemon_session(system, model, workload, sampling_rate=1).run(
+        windows
+    )
     return model, summary
 
 

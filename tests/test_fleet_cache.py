@@ -610,10 +610,10 @@ class TestChaosRowAlignment:
 
 class TestCachedServiceModel:
     def test_cached_windows_charge_hit_price(self, system):
-        from repro.core.daemon import TSDaemon
         from repro.core.knob import Knob
         from repro.fleet import ServicedAnalyticalModel
         from repro.workloads.masim import MasimWorkload
+        from tests.conftest import daemon_session
 
         reset_worker_cache()
         config = SolverServiceConfig(deployment="remote", timeout_ms=500.0)
@@ -623,11 +623,10 @@ class TestCachedServiceModel:
             node_id=0,
             cache=SolveCacheConfig(quantum=0.5),
         )
-        daemon = TSDaemon(system, model, sampling_rate=1)
         workload = MasimWorkload(
             num_pages=system.space.num_pages, ops_per_window=5000, seed=3
         )
-        daemon.run(workload, 4)
+        daemon_session(system, model, workload, sampling_rate=1).run(4)
         hits = [e for e in model.events if e.cached]
         assert model.stats.cache_hits == len(hits) > 0
         expected = modeled_hit_ns(

@@ -56,3 +56,90 @@ def test_latency_stats_within_tolerance(name, driver_results):
         assert got[path] == pytest.approx(value, rel=LATENCY_RTOL), (
             f"{name}:{path} drifted beyond {LATENCY_RTOL:.1%}"
         )
+
+
+# -- the one-knob controller ---------------------------------------------------
+#
+# ``goldens/one_knob_controller.json`` was captured from the dedicated
+# single-knob SLA controller that ``ONE_KNOB`` replaced.  Both of its
+# callers must reproduce it exactly: every alpha, every violation.
+
+
+def _one_knob_golden(section: str) -> dict:
+    doc = json.loads((GOLDEN_DIR / "one_knob_controller.json").read_text())
+    return doc[section]
+
+
+def test_run_sla_tuned_matches_one_knob_golden():
+    from repro.adaptive import run_sla_tuned
+    from repro.engine.build import build_system
+    from repro.mem.page import PAGES_PER_REGION
+    from repro.workloads.masim import MasimWorkload
+
+    got = {}
+    for target in (0.02, 0.10):
+        workload = MasimWorkload(
+            num_pages=4 * PAGES_PER_REGION, ops_per_window=20_000, seed=3
+        )
+        system = build_system(workload, mix="standard", seed=0)
+        summary, controller, alphas = run_sla_tuned(
+            system, workload, target_slowdown=target, num_windows=8, seed=1
+        )
+        got[repr(target)] = {
+            "alphas": [float(a) for a in alphas],
+            "sla_violations": int(summary.extras["sla_violations"]),
+            "headroom": float(controller.headroom),
+            "tco_savings": float(summary.tco_savings),
+        }
+    assert got == _one_knob_golden("run_sla_tuned")
+
+
+def test_rebalance_matches_one_knob_golden():
+    from repro.fleet.scheduler import FleetScheduler
+    from repro.fleet.spec import NodeSpec
+
+    specs = [
+        NodeSpec(node_id=i, workload=workload, memory_gb=gb)
+        for i, (workload, gb) in enumerate(
+            [
+                ("memcached-ycsb", 256.0),
+                ("masim", 128.0),
+                ("xsbench", 512.0),
+                ("bfs", 64.0),
+                ("redis-ycsb", 256.0),
+                ("pagerank", 96.0),
+                ("graphsage", 192.0),
+                ("masim", 32.0),
+                ("bfs", 48.0),
+            ]
+        )
+    ]
+    # Node 9 is stale (not in the fleet); node 5 has no slowdown sample.
+    # At the 0.05 target, nodes 3/6/7/8 sit inside the comfort band, just
+    # under it, exactly on the target and on the band's edge.
+    alphas = {
+        0: 0.9, 1: 0.5, 2: 0.05, 3: 0.97, 4: 0.3, 5: 0.6, 6: 0.7, 7: 0.35,
+        8: 0.45, 9: 0.4,
+    }
+    slowdowns = {
+        0: 0.20, 1: 0.01, 2: 0.0, 3: 0.045, 4: 0.5, 6: 0.039, 7: 0.05,
+        8: 0.04, 9: 0.3,
+    }
+    cases = {
+        "default": (FleetScheduler(budget_alpha=0.5), 0.05),
+        "narrow": (
+            FleetScheduler(budget_alpha=0.4, min_alpha=0.2, max_alpha=0.8),
+            0.05,
+        ),
+        "zero_target": (FleetScheduler(budget_alpha=0.7), 0.0),
+    }
+    got = {
+        name: {
+            str(nid): float(knob.alpha)
+            for nid, knob in sorted(
+                scheduler.rebalance(specs, alphas, slowdowns, target).items()
+            )
+        }
+        for name, (scheduler, target) in cases.items()
+    }
+    assert got == _one_knob_golden("rebalance")

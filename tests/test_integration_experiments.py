@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.bench import experiments
-from repro.bench.runner import run_policy
+from repro.engine import ScenarioSpec, Session
 
 SMALL_KV = {"num_pages": 4096, "ops_per_window": 60_000}
 
@@ -89,13 +89,15 @@ class TestStandardMixShape:
     def results(self):
         out = {}
         for policy in ("tmo", "waterfall", "am-tco", "am-perf"):
-            out[policy] = run_policy(
-                "memcached-ycsb",
-                policy,
-                windows=8,
-                seed=0,
-                workload_kwargs=SMALL_KV,
-            )
+            out[policy] = Session(
+                ScenarioSpec(
+                    workload="memcached-ycsb",
+                    policy=policy,
+                    windows=8,
+                    seed=0,
+                    workload_kwargs=SMALL_KV,
+                )
+            ).run()
         return out
 
     def test_am_tco_saves_most(self, results):
@@ -123,14 +125,16 @@ class TestKnobSweepShape:
         """Figure 10: smaller alpha -> more TCO savings."""
         savings = []
         for alpha in (0.15, 0.5, 0.9):
-            summary = run_policy(
-                "memcached-ycsb",
-                "am",
-                alpha=alpha,
-                windows=6,
-                seed=0,
-                workload_kwargs=SMALL_KV,
-            )
+            summary = Session(
+                ScenarioSpec(
+                    workload="memcached-ycsb",
+                    policy="am",
+                    alpha=alpha,
+                    windows=6,
+                    seed=0,
+                    workload_kwargs=SMALL_KV,
+                )
+            ).run()
             savings.append(summary.tco_savings)
         assert savings[0] > savings[1] > savings[2]
 

@@ -1,12 +1,14 @@
 """Edge-path tests across smaller modules: clock stats, bit I/O corner
 cases, workload guards, runner profile resolution, CLI errors."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.bench.runner import build_system
 from repro.cli import main
 from repro.compression.bitio import BitReader, BitWriter
+from repro.engine.build import build_system
 from repro.mem.stats import ClockStats, TierStats
 from repro.workloads.base import Workload
 from repro.workloads.graph import PageRankWorkload
@@ -100,19 +102,33 @@ class TestRunnerProfileResolution:
 
 
 class TestCLIErrors:
-    def test_unknown_policy_exits_2(self, capsys):
-        code = main(["policy", "masim", "numa-balancing", "--windows", "1"])
+    def test_unknown_policy_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            json.dumps(
+                {"workload": "masim", "policy": "numa-balancing", "windows": 1}
+            )
+        )
+        code = main(["run", str(path)])
         assert code == 2
         assert "unknown policy" in capsys.readouterr().err
 
-    def test_unknown_workload_exits_2(self, capsys):
-        code = main(["policy", "hadoop", "gswap", "--windows", "1"])
+    def test_unknown_workload_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            json.dumps({"workload": "hadoop", "policy": "gswap", "windows": 1})
+        )
+        code = main(["run", str(path)])
         assert code == 2
         assert "unknown workload" in capsys.readouterr().err
 
-    def test_policy_with_alpha(self, capsys):
-        code = main(
-            ["policy", "masim", "am", "--alpha", "0.5", "--windows", "2"]
+    def test_policy_with_alpha(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            json.dumps(
+                {"workload": "masim", "policy": "am", "alpha": 0.5, "windows": 2}
+            )
         )
+        code = main(["run", str(path)])
         assert code == 0
         assert "AM(alpha=0.5)" in capsys.readouterr().out

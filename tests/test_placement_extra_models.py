@@ -119,8 +119,8 @@ class TestMemtis:
 
     def test_budget_controls_savings(self, system):
         """Smaller DRAM budget -> more demotion -> more savings."""
-        from repro.core.daemon import TSDaemon
         from repro.workloads.masim import MasimWorkload
+        from tests.conftest import daemon_session
 
         results = {}
         for budget in (0.25, 0.75):
@@ -130,14 +130,14 @@ class TestMemtis:
 
             space = AddressSpace(system.space.num_pages, "mixed", seed=7)
             fresh = TieredMemorySystem(make_tiers(space), space)
-            daemon = TSDaemon(
-                fresh,
-                MemtisPolicy("CT", dram_budget=budget),
-                sampling_rate=1,
-                seed=1,
-            )
             workload = MasimWorkload(
                 num_pages=space.num_pages, ops_per_window=3000, seed=2
             )
-            results[budget] = daemon.run(workload, 5).tco_savings
+            results[budget] = daemon_session(
+                fresh,
+                MemtisPolicy("CT", dram_budget=budget),
+                workload,
+                sampling_rate=1,
+                daemon_seed=1,
+            ).run(5).tco_savings
         assert results[0.25] > results[0.75]

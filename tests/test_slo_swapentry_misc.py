@@ -1,65 +1,65 @@
-"""Tests for the SLO controller, swap-entry encoding, zsmalloc compaction
-and the diurnal workload wrapper."""
+"""Tests for the one-knob SLA controller, zsmalloc compaction and the
+diurnal workload wrapper."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.adaptive import ONE_KNOB, AdaptiveController, run_sla_tuned
 from repro.allocators.zsmalloc import ZsmallocAllocator
-from repro.core.slo import SLOController, run_sla_tuned
-from repro.mem.swapentry import (
-    FLAG_ACCESSED,
-    FLAG_DIRTY,
-    FLAG_PREFETCHED,
-    SwapEntry,
-    SwapEntryTable,
-)
 from repro.workloads.diurnal import DiurnalWorkload
 from repro.workloads.masim import MasimWorkload
+from tests.conftest import daemon_session
 
 
-class TestSLOController:
+def one_knob(target_slowdown, **changes):
+    return AdaptiveController(
+        ONE_KNOB.with_(target_slowdown=target_slowdown, **changes)
+    )
+
+
+def step(controller, slowdown):
+    """One window at ``slowdown``; the alpha for the next window."""
+    controller.observe(0.0, mean_slowdown=slowdown)
+    return controller.alpha
+
+
+class TestOneKnobController:
     def test_violation_raises_alpha(self):
-        controller = SLOController(target_slowdown=0.05, alpha=0.5)
-        knob = controller.observe(0.20)
-        assert knob.alpha > 0.5
+        controller = one_knob(0.05, start_alpha=0.5)
+        assert step(controller, 0.20) > 0.5
 
     def test_headroom_lowers_alpha(self):
-        controller = SLOController(target_slowdown=0.05, alpha=0.5)
-        knob = controller.observe(0.001)
-        assert knob.alpha < 0.5
+        controller = one_knob(0.05, start_alpha=0.5)
+        assert step(controller, 0.001) < 0.5
 
     def test_near_target_holds(self):
-        controller = SLOController(target_slowdown=0.05, alpha=0.5)
-        knob = controller.observe(0.045)  # within the 80 % comfort band
-        assert knob.alpha == pytest.approx(0.5)
+        controller = one_knob(0.05, start_alpha=0.5)
+        # 0.045 is within the 80 % comfort band.
+        assert step(controller, 0.045) == pytest.approx(0.5)
 
     def test_clamping(self):
-        controller = SLOController(
-            target_slowdown=0.05, alpha=0.06, min_alpha=0.05
-        )
+        controller = one_knob(0.05, start_alpha=0.06, min_alpha=0.05)
         for _ in range(10):
-            knob = controller.observe(0.0)
-        assert knob.alpha == pytest.approx(0.05)
+            alpha = step(controller, 0.0)
+        assert alpha == pytest.approx(0.05)
         for _ in range(10):
-            knob = controller.observe(1.0)
-        assert knob.alpha <= 1.0
+            alpha = step(controller, 1.0)
+        assert alpha <= 1.0
 
     def test_violations_counted(self):
-        controller = SLOController(target_slowdown=0.05)
-        controller.observe(0.2)
-        controller.observe(0.01)
-        controller.observe(0.3)
+        controller = one_knob(0.05)
+        step(controller, 0.2)
+        step(controller, 0.01)
+        step(controller, 0.3)
         assert controller.violations == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SLOController(target_slowdown=-1.0)
+            one_knob(-1.0)
         with pytest.raises(ValueError):
-            SLOController(target_slowdown=0.1, backoff_gain=1.5)
+            one_knob(0.1, backoff_gain=1.5)
         with pytest.raises(ValueError):
-            SLOController(target_slowdown=0.1, min_alpha=0.9, max_alpha=0.1)
+            one_knob(0.1, min_alpha=0.9, max_alpha=0.1)
 
     def test_end_to_end_harvests_tco_within_sla(self, system):
         workload = MasimWorkload(
@@ -73,61 +73,6 @@ class TestSLOController:
         assert summary.tco_savings > 0.05
         # Violations are transient, not persistent.
         assert controller.violations < len(alphas)
-
-
-class TestSwapEntry:
-    def test_roundtrip(self):
-        entry = SwapEntry(tier_id=3, object_id=123456, flags=FLAG_DIRTY)
-        assert SwapEntry.decode(entry.encode()) == entry
-
-    def test_flag_helpers(self):
-        entry = SwapEntry(1, 1).with_flags(FLAG_ACCESSED | FLAG_PREFETCHED)
-        assert entry.accessed and entry.prefetched and not entry.dirty
-
-    def test_field_bounds(self):
-        with pytest.raises(ValueError):
-            SwapEntry(tier_id=256, object_id=0)
-        with pytest.raises(ValueError):
-            SwapEntry(tier_id=0, object_id=1 << 48)
-        with pytest.raises(ValueError):
-            SwapEntry.decode(1 << 64)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        tier=st.integers(0, 255),
-        obj=st.integers(0, (1 << 48) - 1),
-        flags=st.integers(0, 255),
-    )
-    def test_roundtrip_property(self, tier, obj, flags):
-        entry = SwapEntry(tier, obj, flags)
-        decoded = SwapEntry.decode(entry.encode())
-        assert (decoded.tier_id, decoded.object_id, decoded.flags) == (
-            tier,
-            obj,
-            flags,
-        )
-
-    def test_table_operations(self):
-        table = SwapEntryTable()
-        table.insert(7, SwapEntry(tier_id=2, object_id=99))
-        assert 7 in table and len(table) == 1
-        table.mark(7, FLAG_ACCESSED)
-        assert table.lookup(7).accessed
-        assert table.pages_in_tier(2) == [7]
-        assert table.pages_in_tier(3) == []
-        removed = table.remove(7)
-        assert removed.object_id == 99
-        assert 7 not in table
-
-    def test_table_errors(self):
-        table = SwapEntryTable()
-        with pytest.raises(KeyError):
-            table.lookup(1)
-        with pytest.raises(KeyError):
-            table.remove(1)
-        table.insert(1, SwapEntry(0, 0))
-        with pytest.raises(KeyError):
-            table.insert(1, SwapEntry(0, 1))
 
 
 class TestZsmallocCompaction:
@@ -207,7 +152,6 @@ class TestDiurnalWorkload:
             DiurnalWorkload(mismatched)
 
     def test_daemon_adapts_across_phases(self, system):
-        from repro.core.daemon import TSDaemon
         from repro.core.placement.waterfall import WaterfallModel
 
         phases = [
@@ -225,7 +169,8 @@ class TestDiurnalWorkload:
             ),
         ]
         workload = DiurnalWorkload(phases, windows_per_phase=3)
-        daemon = TSDaemon(system, WaterfallModel(50.0), sampling_rate=1)
-        summary = daemon.run(workload, 9)
+        summary = daemon_session(
+            system, WaterfallModel(50.0), workload, sampling_rate=1
+        ).run(9)
         assert summary.windows == 9
         assert summary.tco_savings > 0

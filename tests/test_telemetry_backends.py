@@ -119,20 +119,20 @@ class TestRegistry:
 class TestDaemonIntegration:
     @pytest.mark.parametrize("kind", PROFILER_KINDS)
     def test_daemon_runs_with_every_backend(self, system, kind):
-        from repro.core.daemon import TSDaemon
         from repro.core.placement.static_threshold import StaticThresholdPolicy
         from repro.workloads.masim import MasimWorkload
+        from tests.conftest import daemon_session
 
-        daemon = TSDaemon(
-            system,
-            StaticThresholdPolicy("CT", 50.0),
-            telemetry=kind,
-            sampling_rate=10,
-            seed=1,
-        )
         workload = MasimWorkload(
             num_pages=system.space.num_pages, ops_per_window=5000, seed=2
         )
-        summary = daemon.run(workload, 4)
+        summary = daemon_session(
+            system,
+            StaticThresholdPolicy("CT", 50.0),
+            workload,
+            telemetry=kind,
+            sampling_rate=10,
+            daemon_seed=1,
+        ).run(4)
         assert summary.windows == 4
         assert summary.final_tco_savings > 0  # all backends find the cold set

@@ -287,49 +287,39 @@ def test_checkpoint_roundtrip_resumes_identically(seed):
         assert got.access_ns == want.access_ns
 
 
-def test_checkpoint_v1_fixture_loads_and_resumes_identically():
-    """Backward compat: a pre-SoA (v1) checkpoint restores into the
-    columnar core and finishes byte-identically to a fresh run.
-
-    The fixture was captured with the pre-refactor object-layer code
-    after 3 of 6 windows of the spec below.
-    """
+def test_unloadable_checkpoint_resume_exits_2(tmp_path, capsys):
+    """``serve --resume`` rejects what it cannot load with one line and
+    exit status 2, never a traceback: a pre-SoA (v1) checkpoint, a
+    truncated one and random bytes."""
     from pathlib import Path
 
-    from repro.chaos.checkpoint import load_checkpoint, restore_session
-    from repro.engine.session import Session
-    from repro.engine.spec import ScenarioSpec
-    from repro.mem.stats import tier_rollup
+    from repro.cli import main
 
-    fixture = Path(__file__).parent / "fixtures" / "checkpoint_v1.ckpt"
-    sess, rows, done = restore_session(load_checkpoint(fixture))
-    assert done == 3
-    assert rows == [{"w": 0}, {"w": 1}, {"w": 2}]
-    for _ in range(sess.spec.windows - done):
-        sess.run_window()
-
-    spec = ScenarioSpec(
-        workload="memcached-ycsb",
-        workload_kwargs={"num_pages": 4096, "ops_per_window": 20_000},
-        policy="waterfall",
-        windows=6,
-        seed=7,
-    )
-    fresh = Session(spec)
-    for _ in range(spec.windows):
-        fresh.run_window()
-
-    assert len(sess.records) == len(fresh.records) == 6
-    for got, want in zip(sess.records, fresh.records):
-        for name in ("recommended", "placement", "pool_pages", "faults", "hotness"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        for name in ("tco", "tco_savings", "access_ns", "accesses",
-                     "migration_wall_ns"):
-            assert getattr(got, name) == getattr(want, name), name
-    got_rollup = tier_rollup(sess.system.tiers)
-    want_rollup = tier_rollup(fresh.system.tiers)
-    for name, col in got_rollup.items():
-        assert np.array_equal(col, want_rollup[name]), name
+    v1 = (Path(__file__).parent / "fixtures" / "checkpoint_v1.ckpt").read_bytes()
+    blobs = {
+        "v1": v1,
+        "truncated": v1[:5000],
+        "random": np.random.default_rng(0).bytes(4096),
+    }
+    for kind, blob in blobs.items():
+        path = tmp_path / f"{kind}.ckpt"
+        path.write_bytes(blob)
+        code = main(
+            [
+                "serve",
+                "--resume",
+                str(path),
+                "--no-http",
+                "--virtual-clock",
+                "--max-windows",
+                "1",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2, kind
+        assert "Traceback" not in err, kind
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "checkpoint" in lines[0], (kind, err)
 
 
 @settings(max_examples=30, deadline=None)
