@@ -155,11 +155,14 @@ class PoolAllocator(abc.ABC):
         self.stored_objects += 1
         return handle
 
-    def _retire_handle(self, handle: Handle) -> None:
+    def _check_owner(self, handle: Handle) -> None:
         if handle.allocator != self.name:
             raise AllocationError(
                 f"handle from {handle.allocator!r} freed on {self.name!r}"
             )
+
+    def _retire_handle(self, handle: Handle) -> None:
+        """Drop a freed object from the counters; call after validating."""
         self.stored_bytes -= handle.size
         self.stored_objects -= 1
 

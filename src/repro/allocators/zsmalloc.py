@@ -153,7 +153,7 @@ class ZsmallocAllocator(PoolAllocator):
         return handle
 
     def free(self, handle: Handle) -> None:
-        self._retire_handle(handle)
+        self._check_owner(handle)
         object_id = handle.object_id
         slot = (
             int(self._obj_zspage[object_id])
@@ -162,6 +162,7 @@ class ZsmallocAllocator(PoolAllocator):
         )
         if slot < 0:
             raise KeyError(object_id)
+        self._retire_handle(handle)
         self._obj_zspage[object_id] = -1
         count = self._zs_count[slot]
         was_full = count >= self._zs_capacity[slot]

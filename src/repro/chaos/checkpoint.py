@@ -16,18 +16,20 @@ checkpoint carries a registry *snapshot* which is merged into the fresh
 registry on restore, so counters accumulated before the crash are not
 double- or under-counted.
 
-Format v2 (the array path): the columnar page table dominates a
+Format v3 (the array path): the columnar page table dominates a
 checkpoint's bytes, and pushing megabyte ndarrays through pickle's memo
-walk dominates its time.  A v2 blob is a small envelope ``{"version",
+walk dominates its time.  A blob is a small envelope ``{"version",
 "graph", "columns"}`` where ``graph`` is the session graph pickled under
 :class:`~repro.mem.pagetable.light_pickle` (every
 :class:`~repro.mem.pagetable.PageTable` serialized shape-only) and
 ``columns`` carries each stripped table's columns as raw ``np.save``
-buffers, re-attached in graph-traversal order on restore.  v1 blobs (the
-pre-SoA object graphs) are rejected, as is anything that does not
-unpickle into a v2 envelope: :func:`restore_session` raises one
-``ValueError`` naming the problem, which ``serve --resume`` reports with
-exit status 2.
+buffers, re-attached in graph-traversal order on restore.  v2 used the
+same envelope, but its graph pickled the Zipfian sampler, the KV
+workload and the zbud pools in their older attribute layout, which the
+current classes cannot run.  Only v3 loads: v1 blobs (the pre-SoA object
+graphs), v2 envelopes and anything that does not unpickle into a v3
+envelope make :func:`restore_session` raise one ``ValueError`` naming
+the problem, which ``serve --resume`` reports with exit status 2.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ import numpy as np
 
 from repro.mem.pagetable import light_pickle
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
-#: What unpickling a truncated, corrupt or pre-v2 blob raises.  A v1
+#: What unpickling a truncated, corrupt or v1 blob raises.  A v1
 #: graph names record classes that no longer exist (AttributeError);
 #: random or bit-flipped bytes raise the rest, including MemoryError and
 #: OverflowError for absurd length prefixes.
@@ -62,7 +64,7 @@ _UNREADABLE = (
 def _unsupported(problem: str) -> ValueError:
     return ValueError(
         f"{problem}: only v{CHECKPOINT_VERSION} checkpoints load; "
-        "v1 checkpoints are unsupported"
+        "earlier formats are unsupported"
     )
 
 

@@ -220,20 +220,8 @@ class PageTable:
         }
 
     def attach_columns(self, columns: dict[str, np.ndarray]) -> None:
-        """Re-attach columns detached by the light-pickle checkpoint path.
-
-        Checkpoints written before the ``alloc_site`` column existed lack
-        it; the pre-column default (one allocation site per region) is
-        restored so old blobs keep loading.
-        """
+        """Re-attach columns detached by the light-pickle checkpoint path."""
         for name in self.PAGE_COLUMNS + self.REGION_COLUMNS:
-            if name not in columns and name == "alloc_site":
-                setattr(
-                    self,
-                    name,
-                    np.ascontiguousarray(columns["region_id"]).astype(np.int32),
-                )
-                continue
             setattr(self, name, np.ascontiguousarray(columns[name]))
         self.num_pages = int(self.tier.size)
         self.num_regions = int(self.region_assigned.size)

@@ -26,10 +26,11 @@ class ZipfianGenerator:
     semantics), so the output stream is bit-identical to the
     ``rng.choice`` implementation this replaces -- but the CDF is
     normalised once at construction and the binary search is replaced
-    by a bucket table: bucket ``b`` of ``[0, 1)`` caches the smallest
-    rank any draw in that bucket can map to, leaving only a short
-    vectorized walk over the few draws that land on a bucket straddling
-    CDF steps.
+    by one bucket table: bucket ``b`` of ``[0, 1)`` holds the smallest
+    rank any draw in that bucket can map to -- as ``rank`` when no CDF
+    step falls inside the bucket, so every draw there maps to it, and
+    as ``~rank`` (negative) when one does, leaving a short vectorized
+    walk over the few draws that land on such a straddler.
 
     Args:
         n: Item-space size.
@@ -52,82 +53,78 @@ class ZipfianGenerator:
         cdf /= cdf[-1]
         self._cdf = cdf
         # ~16 buckets per rank keeps the straddler fraction (and the walk
-        # below) short; capped so huge item spaces stay at a 1 MB table.
+        # below) short; capped so huge item spaces stay at a 512 KB table.
+        # The count must stay a power of two: see sample().
         buckets = 1024
         while buckets < 16 * n and buckets < (1 << 17):
             buckets <<= 1
         self._buckets = buckets
-        edges = cdf.searchsorted(
-            np.arange(buckets + 1) / buckets, side="right"
-        )
-        self._bucket_lo = edges[:-1]
-        # Bucket b is *exact* when no CDF step falls inside it: every draw
-        # landing there maps to rank bucket_lo[b] with no verification.
-        self._bucket_exact = edges[1:] == edges[:-1]
-        # Reusable scratch (uniform draws, bucket ids, walk mask): windows
-        # sample hundreds of thousands of draws, and re-faulting fresh
-        # multi-MB arrays per call costs more than the arithmetic on them.
+        # edges[b] = #(cdf <= b / buckets), i.e. searchsorted(b / buckets,
+        # 'right'), counted in one pass: scaling by a power of two is
+        # exact, so cdf <= b / buckets iff ceil(cdf * buckets) <= b.
+        steps = np.ceil(cdf * buckets).astype(np.int64)
+        edges = np.bincount(steps, minlength=buckets + 1).cumsum()
+        lo = edges[:-1].astype(np.int32)
+        # cdf[-1] == 1.0 > every left edge, so lo < n and ~lo < 0.
+        self._table = np.where(edges[1:] == lo, lo, ~lo)
+        # Reusable scratch (uniform draws, bucket ids, straddler mask):
+        # windows sample hundreds of thousands of draws, and re-faulting
+        # fresh multi-MB arrays per call costs more than the arithmetic
+        # on them.
         self._scr_u: np.ndarray | None = None
-        self._scr_f: np.ndarray | None = None
         self._scr_b: np.ndarray | None = None
         self._scr_m: np.ndarray | None = None
 
     def _scratch(self, size: int) -> tuple[np.ndarray, ...]:
         if self._scr_u is None or self._scr_u.size < size:
             self._scr_u = np.empty(size)
-            self._scr_f = np.empty(size)
             self._scr_b = np.empty(size, dtype=np.int64)
             self._scr_m = np.empty(size, dtype=bool)
-        return (
-            self._scr_u[:size],
-            self._scr_f[:size],
-            self._scr_b[:size],
-            self._scr_m[:size],
-        )
+        return self._scr_u[:size], self._scr_b[:size], self._scr_m[:size]
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` item ids; item 0 is the most popular rank.
+    def sample(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        item_map: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Draw ``size`` ranks (0 is the most popular), or ``item_map[rank]``.
 
-        The returned array is freshly allocated; internal scratch buffers
+        ``item_map`` (non-negative int32, one entry per rank) is folded
+        into the bucket table first, so mapped draws cost no more than
+        raw ones.  Returns a fresh int32 array; internal scratch buffers
         are reused across calls.
         """
-        u, scr_f, b, mask = self._scratch(size)
+        u, b, mask = self._scratch(size)
         rng.random(out=u)
-        cdf = self._cdf
         buckets = self._buckets
-        # A float rounding edge can push u * buckets to exactly
-        # ``buckets``; the clamp keeps the bucket index in range (and the
-        # lower-bound property holds because such a u is within one ulp of
-        # the last bucket's left edge, which the always-inexact last
-        # bucket walks).
-        np.multiply(u, buckets, out=scr_f)
-        np.copyto(b, scr_f, casting="unsafe")  # trunc == astype(int64)
-        np.minimum(b, buckets - 1, out=b)
-        idx = self._bucket_lo.take(b)
-        # Straddler buckets: walk forward to the first rank with cdf > u.
-        self._bucket_exact.take(b, out=mask)
-        np.logical_not(mask, out=mask)
+        # Exact: rng.random returns multiples of 2**-53 in [0, 1) and
+        # ``buckets`` is a power of two, so u * buckets only shifts the
+        # exponent.  Hence 0 <= b < buckets and b / buckets <= u: the
+        # bucket's rank is never above searchsorted(u, 'right'), and
+        # dividing back recovers u bit for bit.
+        u *= buckets
+        np.copyto(b, u, casting="unsafe")  # trunc == floor for u >= 0
+        table = self._table
+        if item_map is not None:
+            # Straddler entries (~rank, in [-n, -1]) index item_map from
+            # the end; np.where discards those values and keeps ~rank.
+            table = np.where(table < 0, table, item_map.take(table))
+        out = table.take(b)
+        np.less(out, 0, out=mask)
         hard = np.flatnonzero(mask)
         if hard.size:
-            wrong = hard[cdf[idx[hard]] <= u[hard]]
+            # Straddlers: walk forward to the first rank with cdf > u.
+            cdf = self._cdf
+            ranks = ~out[hard]
+            uh = u[hard]
+            uh *= 1.0 / buckets
+            wrong = np.flatnonzero(cdf[ranks] <= uh)
             while wrong.size:
-                idx[wrong] += 1
-                wrong = wrong[cdf[idx[wrong]] <= u[wrong]]
-        # u * buckets rounding *up* across a bucket edge can overshoot the
-        # start rank; walk those (near-nonexistent) draws back down to the
-        # smallest rank with cdf > u, completing searchsorted(u, 'right').
-        # b / buckets is exact (power-of-two divisor), so the comparison
-        # catches every overshoot, including products that round to an
-        # exact integer.
-        np.multiply(b, 1.0 / buckets, out=scr_f)
-        np.less(u, scr_f, out=mask)
-        for j in np.flatnonzero(mask).tolist():
-            i = int(idx[j]) - 1
-            uj = u[j]
-            while i >= 0 and cdf[i] > uj:
-                i -= 1
-            idx[j] = i + 1
-        return idx
+                ranks[wrong] += 1
+                wrong = wrong[cdf[ranks[wrong]] <= uh[wrong]]
+            out[hard] = ranks if item_map is None else item_map.take(ranks)
+        return out
 
 
 class GaussianGenerator:
@@ -310,12 +307,29 @@ class HotWarmColdGenerator:
         self._scr_c: np.ndarray | None = None
         self._scr_hot: np.ndarray | None = None
         self._scr_nh: np.ndarray | None = None
+        self._identity = np.arange(n, dtype=np.int32)
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(
+        self,
+        size: int,
+        rng: np.random.Generator,
+        item_map: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Draw ``size`` item ids, or ``item_map[item]`` for each.
+
+        ``item_map`` (non-negative int32, one entry per item) lets a
+        caller sample straight onto its own ids, e.g. a KV store's pages:
+        the hot-set drift and the map fold into the Zipfian bucket table
+        once per call instead of once per access.  Without a map the
+        identity stands in, so both paths run the same code.
+        """
         if self._scr_c is None or self._scr_c.size < size:
             self._scr_c = np.empty(size)
             self._scr_hot = np.empty(size, dtype=bool)
             self._scr_nh = np.empty(size, dtype=bool)
+        if item_map is None:
+            item_map = self._identity
+        hot_items, warm_items = self.hot_items, self.warm_items
         component = self._scr_c[:size]
         rng.random(out=component)
         out = np.empty(size, dtype=np.int64)
@@ -332,20 +346,16 @@ class HotWarmColdGenerator:
         cold_idx = not_hot[~warm_split]
         n_hot = size - not_hot.size
         if n_hot:
-            ranks = self._hot.sample(n_hot, rng)
-            if self._hot_offset:
-                # ranks < hot_items and offset < hot_items, so the modulo
-                # is a single conditional subtract.
-                ranks += self._hot_offset
-                ranks[ranks >= self.hot_items] -= self.hot_items
-            out[hot] = ranks
+            # Hot rank r is item (r + offset) % hot_items.
+            rank_map = np.roll(item_map[:hot_items], -self._hot_offset)
+            out[hot] = self._hot.sample(n_hot, rng, rank_map)
         if warm_idx.size:
-            out[warm_idx] = self.hot_items + rng.integers(
-                0, self.warm_items, size=warm_idx.size
-            )
+            draws = rng.integers(0, warm_items, size=warm_idx.size)
+            out[warm_idx] = item_map[hot_items:].take(draws)
         if cold_idx.size:
             draws = rng.integers(0, self.cold_items, size=cold_idx.size)
-            out[cold_idx] = self.hot_items + self.warm_items + self._cold.map(draws)
+            cold_map = item_map[hot_items + warm_items :]
+            out[cold_idx] = cold_map.take(self._cold.map(draws))
         return out
 
     def advance(self) -> None:

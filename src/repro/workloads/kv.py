@@ -68,17 +68,11 @@ class KVWorkload(Workload):
         self.name = name
         self.write_fraction = write_fraction
         self.objects_per_page = objects_per_page
-        # key -> page is a shift when objects_per_page is a power of two
-        # (the common 1 KB / 4 KB value layouts).
-        self._objects_shift = (
-            objects_per_page.bit_length() - 1
-            if objects_per_page & (objects_per_page - 1) == 0
-            else None
-        )
         self.num_keys = num_pages * objects_per_page
         self.distribution = distribution or ZipfianGenerator(self.num_keys)
         self.drift_per_window = drift_per_window
         self._drift_offset = 0
+        self._key_page_offset: int | None = None
         # Block-shuffled layout: rank -> key -> page.  The layout draws
         # from its own SeedSequence substream so it can never collide
         # with another workload's access stream (as additive offsets
@@ -92,28 +86,35 @@ class KVWorkload(Workload):
         ).reshape(-1)
         self._page_of_block = page_perm
 
+    def _key_pages(self) -> np.ndarray:
+        """The key -> page table for the current drift offset (int32).
+
+        Drift rotates the rank -> key mapping, so key ``k`` lands on page
+        ``page_of_block[((k + offset) % num_keys) // objects_per_page]``.
+        Rebuilt only when the offset moves.
+        """
+        if self._key_page_offset != self._drift_offset:
+            keys = (np.arange(self.num_keys) + self._drift_offset) % self.num_keys
+            pages = self._page_of_block[keys // self.objects_per_page]
+            self._key_page = pages.astype(np.int32)
+            self._key_page_offset = self._drift_offset
+        return self._key_page
+
     def _generate(self, rng: np.random.Generator) -> np.ndarray:
-        # sample() returns a fresh array, so the rank -> page arithmetic
-        # below can run in place.
-        keys = self.distribution.sample(self.ops_per_window, rng)
-        # Drift: rotate rank -> key mapping so the hot set moves over time.
-        # Ranks and the offset are both < num_keys, so the rotation's
-        # modulo reduces to one conditional subtract.
-        if self._drift_offset:
-            keys += self._drift_offset
-            keys[keys >= self.num_keys] -= self.num_keys
+        key_page = self._key_pages()
+        dist = self.distribution
+        if isinstance(dist, (HotWarmColdGenerator, ZipfianGenerator)):
+            pages = dist.sample(self.ops_per_window, rng, key_page)
+        else:
+            pages = key_page.take(dist.sample(self.ops_per_window, rng))
         self._drift_offset = int(
             (self._drift_offset + self.drift_per_window * self.num_keys)
             % self.num_keys
         )
-        advance = getattr(self.distribution, "advance", None)
+        advance = getattr(dist, "advance", None)
         if advance is not None:
             advance()
-        if self._objects_shift is not None:
-            keys >>= self._objects_shift
-        else:
-            keys //= self.objects_per_page
-        return self._page_of_block.take(keys)
+        return pages
 
     def reset(self) -> None:
         """Rewind drift and distribution churn along with the RNG.

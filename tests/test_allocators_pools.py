@@ -1,11 +1,13 @@
 """Unit and property tests for the zbud / z3fold / zsmalloc pool managers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocators import (
     AllocationError,
+    Handle,
     Z3foldAllocator,
     ZbudAllocator,
     ZsmallocAllocator,
@@ -60,6 +62,31 @@ class TestCommonBehaviour:
         handle = other.store(100)
         with pytest.raises(AllocationError):
             pool.free(handle)
+
+    def test_unknown_or_double_free_leaves_accounting_intact(self, cls):
+        """Freeing an unknown or already-freed id raises ``KeyError``
+        before touching anything; it used to leave ``stored_bytes`` at
+        -size and ``stored_objects`` at -1."""
+        pool = cls(arena_pages=1 << 10)
+        keep = pool.store(300)
+        gone = pool.store(500)
+        pool.free(gone)
+
+        def state():
+            return pool.stored_bytes, pool.stored_objects, pool.pool_pages
+
+        before = state()
+        assert before[:2] == (300, 1)
+        for bad in (gone, Handle(pool.name, 999, 700), Handle(pool.name, -1, 10)):
+            with pytest.raises(KeyError):
+                pool.free(bad)
+            assert state() == before
+        # The id-based bulk free commits the prefix, then raises.
+        with pytest.raises(KeyError):
+            pool.free_ids(
+                np.array([keep.object_id, gone.object_id]), np.array([300, 500])
+            )
+        assert state() == (0, 0, 0)
 
 
 class TestZbud:

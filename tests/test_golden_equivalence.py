@@ -16,6 +16,7 @@ instead; see ``tests/_goldens.py``.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench import experiments
@@ -143,3 +144,65 @@ def test_rebalance_matches_one_knob_golden():
         for name, (scheduler, target) in cases.items()
     }
     assert got == _one_knob_golden("rebalance")
+
+
+# -- KV page streams -----------------------------------------------------------
+#
+# ``goldens/kv_page_streams.json`` holds sha256 digests of the first three
+# ``next_window()`` batches of each workload below, captured from the
+# sampler that mapped ranks to keys to pages one access at a time.  The
+# sampler that lands straight on pages must reproduce every batch bit for
+# bit.  The streams cover the two Zipfian YCSB stores (hot-set drift, the
+# bucket->page fold), memtier's Gaussian (the generic fallback) and two
+# drifting layouts with a non-power-of-two ``objects_per_page``.
+
+
+def kv_page_stream_workloads() -> dict:
+    from repro.workloads.distributions import (
+        HotWarmColdGenerator,
+        ZipfianGenerator,
+    )
+    from repro.workloads.kv import KVWorkload
+
+    return {
+        "memcached-ycsb": KVWorkload.memcached_ycsb(seed=0),
+        "redis-ycsb": KVWorkload.redis_ycsb(seed=1),
+        "memcached-memtier": KVWorkload.memcached_memtier(seed=2),
+        "drift-hotwarmcold-opp3": KVWorkload(
+            "drift-hwc",
+            num_pages=4096,
+            ops_per_window=200_000,
+            distribution=HotWarmColdGenerator(4096 * 3, hot_drift_fraction=0.05),
+            objects_per_page=3,
+            drift_per_window=0.03,
+            seed=3,
+        ),
+        "drift-zipfian-opp3": KVWorkload(
+            "drift-zipf",
+            num_pages=4096,
+            ops_per_window=200_000,
+            distribution=ZipfianGenerator(4096 * 3, theta=0.9),
+            objects_per_page=3,
+            drift_per_window=0.05,
+            seed=4,
+        ),
+    }
+
+
+def kv_page_stream_digests(windows: int = 3) -> dict:
+    import hashlib
+
+    digests = {}
+    for name, workload in kv_page_stream_workloads().items():
+        batches = [workload.next_window() for _ in range(windows)]
+        assert all(batch.dtype == np.int64 for batch in batches), name
+        digests[name] = [hashlib.sha256(b.tobytes()).hexdigest() for b in batches]
+        # A reset replays the stream from window 0.
+        workload.reset()
+        assert np.array_equal(workload.next_window(), batches[0]), name
+    return digests
+
+
+def test_kv_page_streams_match_golden():
+    want = json.loads((GOLDEN_DIR / "kv_page_streams.json").read_text())
+    assert kv_page_stream_digests() == want

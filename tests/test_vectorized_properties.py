@@ -10,13 +10,20 @@ both and compares the full observable state.
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocators import ZsmallocAllocator
-from repro.allocators.zbud import ZbudAllocator
+from repro.allocators import (
+    AllocationError,
+    Handle,
+    Z3foldAllocator,
+    ZsmallocAllocator,
+)
+from repro.allocators.buddy import BuddyAllocator
+from repro.allocators.zbud import CHUNK, ZbudAllocator
 from repro.mem.address_space import AddressSpace
-from repro.mem.page import PAGES_PER_REGION
+from repro.mem.page import PAGE_SIZE, PAGES_PER_REGION
 from repro.mem.system import _PAGE_CHUNKS, TieredMemorySystem
 from repro.mem.tier import ByteAddressableTier
 from repro.workloads.distributions import ZipfianGenerator
@@ -177,6 +184,148 @@ def test_store_many_free_many_match_sequential(sizes, free_seed, allocator_cls):
     assert bulk.stored_objects == sequential.stored_objects
 
 
+class _ScalarZbud:
+    """Reference: zbud/z3fold as one object per call with a linear
+    best-fit scan over the unbuddied buckets (the pre-fusion algorithm)."""
+
+    def __init__(self, slots: int, arena_pages: int) -> None:
+        self.slots = slots
+        self.buddy = BuddyAllocator(arena_pages)
+        self.pages: dict[int, list] = {}  # pfn -> [free chunks, {id: chunks}]
+        self.page_of: dict[int, int] = {}
+        self.unbuddied = [set() for _ in range(PAGE_SIZE // CHUNK + 1)]
+        self.next_id = self.stored_bytes = self.stored_objects = 0
+
+    def store(self, size: int) -> None:
+        if size < 1:
+            raise ValueError(size)
+        if size > PAGE_SIZE:
+            raise AllocationError(size)
+        need = -(-size // CHUNK)
+        for free in range(need, len(self.unbuddied)):
+            if self.unbuddied[free]:
+                pfn = next(iter(self.unbuddied[free]))
+                self.unbuddied[free].discard(pfn)
+                break
+        else:
+            pfn = self.buddy.alloc(1)
+            self.pages[pfn] = [PAGE_SIZE // CHUNK, {}]
+        page = self.pages[pfn]
+        page[1][self.next_id] = need
+        page[0] -= need
+        self.page_of[self.next_id] = pfn
+        self.next_id += 1
+        self.stored_bytes += size
+        self.stored_objects += 1
+        if len(page[1]) < self.slots:
+            self.unbuddied[page[0]].add(pfn)
+
+    def free(self, object_id: int, size: int) -> None:
+        pfn = self.page_of.pop(object_id)
+        page = self.pages[pfn]
+        if len(page[1]) < self.slots:
+            self.unbuddied[page[0]].discard(pfn)
+        page[0] += page[1].pop(object_id)
+        self.stored_bytes -= size
+        self.stored_objects -= 1
+        if page[1]:
+            self.unbuddied[page[0]].add(pfn)
+        else:
+            del self.pages[pfn]
+            self.buddy.free(pfn)
+
+    def state(self) -> tuple:
+        return (
+            len(self.pages),
+            self.stored_bytes,
+            self.stored_objects,
+            self.next_id,
+            self.page_of,
+            [list(bucket) for bucket in self.unbuddied],
+        )
+
+
+def _zbud_state(pool) -> tuple:
+    """Everything a later store can observe: the unbuddied buckets'
+    iteration order picks the buddy page, so it is compared too."""
+    return (
+        pool.pool_pages,
+        pool.stored_bytes,
+        pool.stored_objects,
+        pool._next_id,
+        pool._page_of,
+        [list(bucket) for bucket in pool._unbuddied],
+    )
+
+
+def _raised(fn):
+    try:
+        fn()
+    except (AllocationError, KeyError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    allocator_cls=st.sampled_from([ZbudAllocator, Z3foldAllocator]),
+    data=st.data(),
+)
+def test_zbud_fused_ids_match_sequential(allocator_cls, data):
+    """Fused ``store_ids``/``free_ids`` and scalar ``store``/``free`` both
+    match the one-object-per-call reference, batch by batch, including a
+    bad size mid-batch and unknown or repeated ids, which must fail at
+    the same point with the same prefix kept."""
+    bulk = allocator_cls(arena_pages=1 << 12)
+    scalar = allocator_cls(arena_pages=1 << 12)
+    ref = _ScalarZbud(allocator_cls.max_objects_per_page, arena_pages=1 << 12)
+    live: dict[int, int] = {}  # object id -> size
+    for _ in range(data.draw(st.integers(1, 8), label="batches")):
+        if not live or data.draw(st.booleans(), label="store"):
+            sizes = data.draw(st.lists(st.integers(1, PAGE_SIZE), max_size=120))
+            if data.draw(st.integers(0, 4)) == 0:
+                bad = data.draw(st.sampled_from([0, -7, PAGE_SIZE + 1]))
+                sizes.insert(data.draw(st.integers(0, len(sizes))), bad)
+            first = ref.next_id
+            outcomes = {
+                _raised(lambda: bulk.store_ids(np.array(sizes, dtype=np.int64))),
+                _raised(lambda: [scalar.store(size) for size in sizes]),
+                _raised(lambda: [ref.store(size) for size in sizes]),
+            }
+            live.update(zip(range(first, ref.next_id), sizes))
+        else:
+            ids = data.draw(
+                st.lists(st.sampled_from(sorted(live)), unique=True, max_size=80)
+            )
+            kind = data.draw(st.sampled_from(["ok", "unknown", "repeat"]))
+            if kind == "unknown":
+                ids.insert(data.draw(st.integers(0, len(ids))), ref.next_id + 5)
+            elif kind == "repeat" and ids:
+                ids.append(data.draw(st.sampled_from(ids)))
+            sizes = [live.get(i, 64) for i in ids]
+            outcomes = {
+                _raised(
+                    lambda: bulk.free_ids(
+                        np.array(ids, dtype=np.int64),
+                        np.array(sizes, dtype=np.int64),
+                    )
+                ),
+                _raised(
+                    lambda: [
+                        scalar.free(Handle(scalar.name, i, size))
+                        for i, size in zip(ids, sizes)
+                    ]
+                ),
+                _raised(lambda: [ref.free(i, size) for i, size in zip(ids, sizes)]),
+            }
+            live = {i: s for i, s in live.items() if i in ref.page_of}
+        assert len(outcomes) == 1
+        assert _zbud_state(bulk) == ref.state()
+        assert _zbud_state(scalar) == ref.state()
+        nonempty = sum(1 << f for f, bucket in enumerate(bulk._unbuddied) if bucket)
+        assert bulk._nonempty == scalar._nonempty == nonempty
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_csize_and_accept_caches_match_scalar(seed, data):
@@ -322,9 +471,49 @@ def test_unloadable_checkpoint_resume_exits_2(tmp_path, capsys):
         assert len(lines) == 1 and "checkpoint" in lines[0], (kind, err)
 
 
+def test_v2_checkpoint_resume_exits_2(tmp_path, capsys):
+    """A v2 envelope is refused by its version before its graph is
+    unpickled: v2 graphs hold the older sampler, KV workload and zbud
+    layouts, which would otherwise load and then fail mid-window."""
+    import pickle
+
+    from repro.chaos.checkpoint import capture_session, restore_session
+    from repro.cli import main
+    from repro.engine.session import Session
+    from repro.engine.spec import ScenarioSpec
+
+    session = Session(
+        ScenarioSpec(
+            workload="memcached-ycsb",
+            workload_kwargs={"num_pages": PAGES_PER_REGION, "ops_per_window": 500},
+            policy="waterfall",
+            windows=2,
+        )
+    )
+    session.run_window()
+    envelope = pickle.loads(capture_session(session))
+    envelope["version"] = 2
+    blob = pickle.dumps(envelope)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        restore_session(blob)
+    path = tmp_path / "v2.ckpt"
+    path.write_bytes(blob)
+    code = main(
+        ["serve", "--resume", str(path), "--no-http", "--virtual-clock",
+         "--max-windows", "1"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "version 2" in lines[0], err
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    n=st.integers(1, 5000),
+    # Small item spaces get ~16 buckets per rank; from 8192 on the
+    # bucket table is capped at 2**17 and straddlers get denser.
+    n=st.one_of(st.integers(1, 5000), st.integers(8192, 300_000)),
     theta=st.floats(0.0, 1.8, allow_nan=False),
     size=st.integers(1, 2000),
     seed=st.integers(0, 10_000),
@@ -336,6 +525,10 @@ def test_zipfian_sampler_matches_generator_choice(n, theta, size, seed):
         n, size=size, p=gen._probabilities
     )
     assert np.array_equal(got, want)
+    # A folded item map lands each draw on item_map[rank].
+    item_map = np.random.default_rng(n).permutation(n).astype(np.int32)
+    mapped = gen.sample(size, np.random.default_rng(seed), item_map)
+    assert np.array_equal(mapped, item_map[want])
     # The sampler must consume the RNG stream exactly like choice() so
     # downstream draws stay aligned.
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
