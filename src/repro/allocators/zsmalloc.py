@@ -65,6 +65,14 @@ def zspage_geometry(cls: int) -> tuple[int, int]:
     return best
 
 
+#: :func:`zspage_geometry` of every storable class (``MIN_CLASS`` up to a
+#: whole page), so opening a zspage is one lookup instead of the loop.
+ZSPAGE_GEOMETRY: dict[int, tuple[int, int]] = {
+    cls: zspage_geometry(cls)
+    for cls in range(MIN_CLASS, PAGE_SIZE + 1, CLASS_DELTA)
+}
+
+
 class ZsmallocAllocator(PoolAllocator):
     """Dense size-class pool manager."""
 
@@ -94,7 +102,7 @@ class ZsmallocAllocator(PoolAllocator):
 
     def _open_zspage(self, cls: int) -> int:
         """Allocate a fresh zspage for ``cls``; returns its slot."""
-        pages, capacity = zspage_geometry(cls)
+        pages, capacity = ZSPAGE_GEOMETRY[cls]
         pfn = self._buddy.alloc(pages)
         # The buddy allocator rounds to powers of two; charge only the
         # pages the zspage actually uses, as the kernel allocates

@@ -16,24 +16,28 @@ checkpoint carries a registry *snapshot* which is merged into the fresh
 registry on restore, so counters accumulated before the crash are not
 double- or under-counted.
 
-Format v3 (the array path): the columnar page table dominates a
+Format v4 (the array path): the columnar page table dominates a
 checkpoint's bytes, and pushing megabyte ndarrays through pickle's memo
 walk dominates its time.  A blob is a small envelope ``{"version",
-"graph", "columns"}`` where ``graph`` is the session graph pickled under
-:class:`~repro.mem.pagetable.light_pickle` (every
+"graph", "columns", "digests"}`` where ``graph`` is the session graph
+pickled under :class:`~repro.mem.pagetable.light_pickle` (every
 :class:`~repro.mem.pagetable.PageTable` serialized shape-only) and
 ``columns`` carries each stripped table's columns as raw ``np.save``
-buffers, re-attached in graph-traversal order on restore.  v2 used the
-same envelope, but its graph pickled the Zipfian sampler, the KV
-workload and the zbud pools in their older attribute layout, which the
-current classes cannot run.  Only v3 loads: v1 blobs (the pre-SoA object
-graphs), v2 envelopes and anything that does not unpickle into a v3
-envelope make :func:`restore_session` raise one ``ValueError`` naming
-the problem, which ``serve --resume`` reports with exit status 2.
+buffers, re-attached in graph-traversal order on restore.  ``digests``
+holds a BLAKE2b digest of the graph and of every column buffer; they are
+checked before anything is unpickled or attached, so a flipped byte
+cannot load as a silently different page table.  v2 and v3 used the same
+envelope without digests (v2's graph also pickled the Zipfian sampler,
+the KV workload and the zbud pools in an older attribute layout).  Only
+v4 loads: v1 blobs (the pre-SoA object graphs), v2/v3 envelopes, digest
+mismatches and anything that does not unpickle into a v4 envelope make
+:func:`restore_session` raise one ``ValueError`` naming the problem,
+which ``serve --resume`` reports with exit status 2.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import pickle
 from pathlib import Path
@@ -42,7 +46,7 @@ import numpy as np
 
 from repro.mem.pagetable import light_pickle
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: What unpickling a truncated, corrupt or v1 blob raises.  A v1
 #: graph names record classes that no longer exist (AttributeError);
@@ -66,6 +70,27 @@ def _unsupported(problem: str) -> ValueError:
         f"{problem}: only v{CHECKPOINT_VERSION} checkpoints load; "
         "earlier formats are unsupported"
     )
+
+
+def _digest(buf: bytes) -> bytes:
+    return hashlib.blake2b(buf, digest_size=16).digest()
+
+
+def _corrupt_part(envelope: dict) -> str | None:
+    """The first saved buffer that fails its digest, or ``None``."""
+    digests = envelope["digests"]
+    if _digest(envelope["graph"]) != digests["graph"]:
+        return "the session graph"
+    columns = envelope["columns"]
+    if len(columns) != len(digests["columns"]):
+        return "the column set list"
+    for index, (blobs, sums) in enumerate(zip(columns, digests["columns"])):
+        if blobs.keys() != sums.keys():
+            return f"page table {index}'s column list"
+        for name, buf in blobs.items():
+            if _digest(buf) != sums[name]:
+                return f"page table {index}'s {name!r} column"
+    return None
 
 
 def _save_columns(table) -> dict[str, bytes]:
@@ -127,10 +152,18 @@ def capture_session(session, rows=()) -> bytes:
         }
         with light_pickle() as lp:
             graph = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        columns = [_save_columns(table) for table in lp.tables]
         envelope = {
             "version": CHECKPOINT_VERSION,
             "graph": graph,
-            "columns": [_save_columns(table) for table in lp.tables],
+            "columns": columns,
+            "digests": {
+                "graph": _digest(graph),
+                "columns": [
+                    {name: _digest(buf) for name, buf in blobs.items()}
+                    for blobs in columns
+                ],
+            },
         }
         return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
     finally:
@@ -161,9 +194,12 @@ def restore_session(blob: bytes, *, hooks=(), obs=None, sink=None):
         version = (
             envelope.get("version") if isinstance(envelope, dict) else None
         )
+        corrupt = None
         if version == CHECKPOINT_VERSION:
-            with light_pickle() as lp:
-                state = pickle.loads(envelope["graph"])
+            corrupt = _corrupt_part(envelope)
+            if corrupt is None:
+                with light_pickle() as lp:
+                    state = pickle.loads(envelope["graph"])
     except _UNREADABLE as exc:
         detail = " ".join(str(exc).split())
         raise _unsupported(
@@ -171,6 +207,8 @@ def restore_session(blob: bytes, *, hooks=(), obs=None, sink=None):
         ) from exc
     if version != CHECKPOINT_VERSION:
         raise _unsupported(f"unsupported checkpoint version {version!r}")
+    if corrupt is not None:
+        raise ValueError(f"corrupt checkpoint: {corrupt} fails its digest")
     columns = envelope["columns"]
     if len(lp.tables) != len(columns):
         raise ValueError(

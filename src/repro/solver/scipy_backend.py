@@ -12,9 +12,58 @@ import time
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
+from scipy.sparse import csc_array
 
 from repro.solver.problem import PlacementProblem, Solution
+
+
+def _constraint_matrix(problem: PlacementProblem) -> LinearConstraint:
+    """Every ILP row as one CSC matrix, built from index arithmetic.
+
+    Rows come in the order stacking the separate blocks would give them:
+    the ``R`` one-tier-per-region equalities, the budget row, then one
+    capacity row per bounded tier (``capacity[t] >= 0``).  Column
+    ``j = r * T + t`` (the flattened ``x[r, t]``) therefore holds, in
+    ascending row order, a 1 in equality row ``r``, ``cost[r, t]`` in the
+    budget row unless it is zero (a dense row keeps no structural zeros
+    once sparse), and a 1 in tier ``t``'s capacity row if it has one.
+    HiGHS gets the same entries, bounds and order as from a stacked list
+    of constraints, so it returns the same answer.
+    """
+    num_regions, num_tiers = problem.penalty.shape
+    n = num_regions * num_tiers
+    cost = problem.cost.reshape(n)
+    bounded = np.zeros(num_tiers, dtype=bool)
+    if problem.capacity is not None:
+        bounded = problem.capacity >= 0
+    num_bounded = int(bounded.sum())
+    cap_row = np.full(num_tiers, -1, dtype=np.int32)
+    cap_row[bounded] = num_regions + 1 + np.arange(num_bounded, dtype=np.int32)
+
+    # Candidate entries per column: (equality, budget, capacity).
+    rows = np.empty((n, 3), dtype=np.int32)
+    rows[:, 0] = np.repeat(np.arange(num_regions, dtype=np.int32), num_tiers)
+    rows[:, 1] = num_regions
+    rows[:, 2] = np.tile(cap_row, num_regions)
+    values = np.ones((n, 3))
+    values[:, 1] = cost
+    keep = np.ones((n, 3), dtype=bool)
+    keep[:, 1] = cost != 0
+    keep[:, 2] = np.tile(bounded, num_regions)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    matrix = csc_array(
+        (values[keep], rows[keep], indptr),
+        shape=(num_regions + 1 + num_bounded, n),
+    )
+
+    lb = np.full(matrix.shape[0], -np.inf)
+    lb[:num_regions] = 1.0
+    ub = np.ones(matrix.shape[0])
+    ub[num_regions] = problem.budget
+    if num_bounded:
+        ub[num_regions + 1 :] = problem.capacity[bounded]
+    return LinearConstraint(matrix, lb=lb, ub=ub)
 
 
 def solve_scipy(problem: PlacementProblem, time_limit_s: float = 30.0) -> Solution:
@@ -31,33 +80,11 @@ def solve_scipy(problem: PlacementProblem, time_limit_s: float = 30.0) -> Soluti
     n = num_regions * num_tiers
 
     c = problem.penalty.reshape(n)
-
-    rows: list[LinearConstraint] = []
-    # One-tier-per-region equality rows.
-    a_eq = lil_matrix((num_regions, n))
-    for r in range(num_regions):
-        a_eq[r, r * num_tiers : (r + 1) * num_tiers] = 1.0
-    rows.append(LinearConstraint(a_eq.tocsr(), lb=1.0, ub=1.0))
-    # Budget row.
-    rows.append(
-        LinearConstraint(
-            problem.cost.reshape(1, n), lb=-np.inf, ub=problem.budget
-        )
-    )
-    # Optional per-tier capacity rows.
-    if problem.capacity is not None:
-        bounded = [t for t in range(num_tiers) if problem.capacity[t] >= 0]
-        if bounded:
-            a_cap = lil_matrix((len(bounded), n))
-            ub = np.empty(len(bounded))
-            for row, t in enumerate(bounded):
-                a_cap[row, t::num_tiers] = 1.0
-                ub[row] = float(problem.capacity[t])
-            rows.append(LinearConstraint(a_cap.tocsr(), lb=-np.inf, ub=ub))
+    constraint = _constraint_matrix(problem)
 
     result = milp(
         c=c,
-        constraints=rows,
+        constraints=constraint,
         integrality=np.ones(n),
         bounds=Bounds(0, 1),
         options={"time_limit": time_limit_s},

@@ -17,6 +17,7 @@ from repro.allocators.zsmalloc import (
     CLASS_DELTA,
     MAX_PAGES_PER_ZSPAGE,
     MIN_CLASS,
+    ZSPAGE_GEOMETRY,
     size_class,
     zspage_geometry,
 )
@@ -147,6 +148,17 @@ class TestZsmalloc:
             assert 1 <= pages <= MAX_PAGES_PER_ZSPAGE
             assert objs >= 1
             assert objs * cls_size <= pages * PAGE_SIZE
+
+    def test_zspage_geometry_table_matches_loop(self):
+        """The import-time table holds the loop's answer for every class a
+        store can produce, and nothing else."""
+        classes = range(MIN_CLASS, PAGE_SIZE + 1, CLASS_DELTA)
+        assert list(ZSPAGE_GEOMETRY) == list(classes)
+        assert {size_class(size) for size in range(1, PAGE_SIZE + 1)} == set(
+            classes
+        )
+        for cls_size in classes:
+            assert ZSPAGE_GEOMETRY[cls_size] == zspage_geometry(cls_size)
 
     def test_densest_of_the_three(self):
         """Paper §2: zsmalloc packs best.  For 1.2 KB objects zbud fits 2

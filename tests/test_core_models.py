@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from repro.core import perf, tco
 from repro.core.knob import AM_PERF_ALPHA, AM_TCO_ALPHA, Knob
 from repro.core.metrics import RunSummary, weighted_percentile
+from repro.core.placement.analytical import AnalyticalModel
+from repro.mem.address_space import AddressSpace
+from repro.mem.page import PAGES_PER_REGION
+from repro.mem.system import TieredMemorySystem
+from repro.telemetry.window import ProfileRecord
 
 from tests.conftest import make_tiers
 
@@ -74,9 +79,8 @@ class TestPerfModel:
     def test_penalty_matrix(self, space):
         tiers = make_tiers(space)
         hotness = np.array([10.0, 0.0, 5.0, 1.0])
-        penalties = perf.penalty_matrix(
-            tiers, space.region_compressibility(), hotness, sampling_rate=100
-        )
+        per_access = perf.per_access_penalty(tiers, space.region_compressibility())
+        penalties = perf.penalty_matrix(per_access, hotness, sampling_rate=100)
         assert penalties.shape == (4, 3)
         # DRAM column is exactly zero (Eq. 6: delta over DRAM).
         assert (penalties[:, 0] == 0).all()
@@ -88,21 +92,167 @@ class TestPerfModel:
     def test_sampling_rate_scales(self, space):
         tiers = make_tiers(space)
         hotness = np.ones(4)
-        p1 = perf.penalty_matrix(tiers, space.region_compressibility(), hotness, 100)
-        p2 = perf.penalty_matrix(tiers, space.region_compressibility(), hotness, 200)
+        per_access = perf.per_access_penalty(tiers, space.region_compressibility())
+        p1 = perf.penalty_matrix(per_access, hotness, 100)
+        p2 = perf.penalty_matrix(per_access, hotness, 200)
         assert np.allclose(p2, 2 * p1)
 
     def test_perf_overhead(self, space):
         tiers = make_tiers(space)
         hotness = np.ones(4)
-        penalties = perf.penalty_matrix(
-            tiers, space.region_compressibility(), hotness, 100
-        )
+        per_access = perf.per_access_penalty(tiers, space.region_compressibility())
+        penalties = perf.penalty_matrix(per_access, hotness, 100)
         all_dram = np.zeros(4, dtype=np.int64)
         assert perf.perf_overhead(penalties, all_dram) == 0.0
         all_ct = np.full(4, 2, dtype=np.int64)
         assert perf.perf_overhead(penalties, all_ct) == pytest.approx(
             penalties[:, 2].sum()
+        )
+
+
+def _record(hotness, sampling_rate=100):
+    hotness = np.asarray(hotness, dtype=np.float64)
+    return ProfileRecord(
+        window=0,
+        hotness=hotness,
+        window_samples=int(hotness.sum()),
+        sampling_rate=sampling_rate,
+    )
+
+
+class TestPlanningTables:
+    """The analytical model's per-system memo of the static tables."""
+
+    def test_bitwise_equal_to_scalar_functions(self, system):
+        tables = AnalyticalModel(Knob(0.5)).planning_tables(system)
+        comp = system.space.region_compressibility()
+        per_access = perf.per_access_penalty(system.tiers, comp)
+        costs = tco.cost_matrix(system.tiers, comp)
+        assert tables.per_access.tobytes() == per_access.tobytes()
+        assert tables.cost.tobytes() == costs.tobytes()
+        assert tables.tco_min == tco.tco_min(costs)
+        assert tables.tco_max == tco.tco_max(costs)
+        assert not tables.cost.flags.writeable
+        assert not tables.per_access.flags.writeable
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hotness=st.lists(st.floats(0, 1e4), min_size=4, max_size=4),
+        sampling_rate=st.integers(1, 10_000),
+        alpha=st.floats(0.0, 1.0),
+    )
+    def test_problem_equals_per_window_rebuild(self, hotness, sampling_rate, alpha):
+        """Every window's problem is bitwise the one rebuilding all the
+        tables from scratch gives."""
+        space = AddressSpace(4 * PAGES_PER_REGION, "mixed", seed=7)
+        system = TieredMemorySystem(make_tiers(space), space)
+        model = AnalyticalModel(Knob(alpha))
+        record = _record(hotness, sampling_rate)
+        model.build_problem(_record(np.ones(4)), system)  # fill the memo
+        problem = model.build_problem(record, system)
+
+        comp = system.space.region_compressibility()
+        expected = np.asarray(hotness, dtype=np.float64) * sampling_rate
+        penalty = expected[:, None] * perf.per_access_penalty(system.tiers, comp)
+        penalty = penalty + 1e-6 * np.arange(len(system.tiers))[None, :]
+        costs = tco.cost_matrix(system.tiers, comp)
+        budget = Knob(alpha).budget(tco.tco_min(costs), tco.tco_max(costs))
+        assert problem.penalty.tobytes() == penalty.tobytes()
+        assert problem.cost.tobytes() == costs.tobytes()
+        assert problem.budget == budget
+
+    def test_built_once_per_system(self, system, monkeypatch):
+        calls = {"penalty": 0, "cost": 0}
+        per_access, cost_matrix = perf.per_access_penalty, tco.cost_matrix
+
+        def counted_penalty(*args):
+            calls["penalty"] += 1
+            return per_access(*args)
+
+        def counted_cost(*args):
+            calls["cost"] += 1
+            return cost_matrix(*args)
+
+        monkeypatch.setattr(perf, "per_access_penalty", counted_penalty)
+        monkeypatch.setattr(tco, "cost_matrix", counted_cost)
+        model = AnalyticalModel(Knob(0.3), use_capacity=True)
+        for window in range(6):
+            model.knob = Knob(0.1 * window)
+            model.recommend(_record(np.arange(4.0) * window), system)
+        assert calls == {"penalty": 1, "cost": 1}
+
+        # Another system, even one equal in every value, gets its own.
+        twin_space = AddressSpace(4 * PAGES_PER_REGION, "mixed", seed=7)
+        twin = TieredMemorySystem(make_tiers(twin_space), twin_space)
+        tables = model.planning_tables(twin)
+        assert calls == {"penalty": 2, "cost": 2}
+        assert tables.system is twin
+        model.planning_tables(twin)
+        assert calls == {"penalty": 2, "cost": 2}
+
+    def test_different_system_gets_fresh_tables(self, system):
+        model = AnalyticalModel(Knob(0.5))
+        first = model.planning_tables(system)
+        other_space = AddressSpace(6 * PAGES_PER_REGION, "mixed", seed=99)
+        other = TieredMemorySystem(make_tiers(other_space), other_space)
+        fresh = model.planning_tables(other)
+        comp = other_space.region_compressibility()
+        assert fresh.system is other
+        assert fresh.cost.shape == (6, 3)
+        assert fresh.cost.tobytes() == tco.cost_matrix(other.tiers, comp).tobytes()
+        assert first.cost.shape == (4, 3)
+
+    def test_pickled_model_drops_the_memo(self, system):
+        import pickle
+
+        model = AnalyticalModel(Knob(0.5))
+        model.planning_tables(system)
+        assert pickle.loads(pickle.dumps(model))._tables is None
+
+    def test_am_tco_ilp_resumes_bit_identically(self):
+        """An AM-TCO run large enough for the scipy backend (13+ regions)
+        resumes from a checkpoint exactly as the uninterrupted run goes
+        on: the restored model refills its tables from the restored
+        system."""
+        from repro.chaos.checkpoint import capture_session, restore_session
+        from repro.engine.session import Session
+        from repro.engine.spec import ScenarioSpec
+
+        spec = ScenarioSpec(
+            workload="memcached-ycsb",
+            workload_kwargs={
+                "num_pages": 16 * PAGES_PER_REGION,
+                "ops_per_window": 4000,
+            },
+            policy="am-tco",
+            windows=5,
+            seed=5,
+        )
+        full = Session(spec)
+        for _ in range(5):
+            full.run_window()
+        assert full.policy.last_solution.backend == "scipy"
+
+        half = Session(spec)
+        for _ in range(2):
+            half.run_window()
+        resumed, _, done = restore_session(capture_session(half))
+        assert done == 2
+        assert resumed.policy._tables is None
+        for _ in range(3):
+            resumed.run_window()
+        assert resumed.policy._tables.system is resumed.system
+
+        assert len(resumed.records) == len(full.records)
+        for got, want in zip(resumed.records, full.records):
+            assert np.array_equal(got.placement, want.placement)
+            assert np.array_equal(got.faults, want.faults)
+            assert np.array_equal(got.pool_pages, want.pool_pages)
+            assert got.tco == want.tco
+            assert got.access_ns == want.access_ns
+        assert np.array_equal(
+            resumed.policy.last_solution.assignment,
+            full.policy.last_solution.assignment,
         )
 
 

@@ -187,3 +187,93 @@ def test_backend_agreement_property(num_regions, budget_factor, seed):
     assert hi.objective == pytest.approx(exact.objective, rel=1e-6, abs=1e-9)
     assert greedy.objective >= exact.objective - 1e-9
     assert greedy.cost <= problem.budget + 1e-9
+
+
+def _stacked_reference(problem):
+    """The ILP rows built row block by row block -- lil-matrix equality
+    and capacity blocks, a dense budget row -- and stacked the way
+    ``milp`` stacks a list of constraints."""
+    from scipy.optimize import LinearConstraint
+    from scipy.sparse import csc_array, lil_matrix, vstack
+
+    num_regions, num_tiers = problem.penalty.shape
+    n = num_regions * num_tiers
+    rows = []
+    a_eq = lil_matrix((num_regions, n))
+    for r in range(num_regions):
+        a_eq[r, r * num_tiers : (r + 1) * num_tiers] = 1.0
+    rows.append(LinearConstraint(a_eq.tocsr(), lb=1.0, ub=1.0))
+    rows.append(
+        LinearConstraint(problem.cost.reshape(1, n), lb=-np.inf, ub=problem.budget)
+    )
+    if problem.capacity is not None:
+        bounded = [t for t in range(num_tiers) if problem.capacity[t] >= 0]
+        if bounded:
+            a_cap = lil_matrix((len(bounded), n))
+            ub = np.empty(len(bounded))
+            for row, t in enumerate(bounded):
+                a_cap[row, t::num_tiers] = 1.0
+                ub[row] = float(problem.capacity[t])
+            rows.append(LinearConstraint(a_cap.tocsr(), lb=-np.inf, ub=ub))
+    matrix = vstack([csc_array(row.A) for row in rows], format="csc")
+    lb = np.concatenate([np.atleast_1d(row.lb).astype(np.float64) for row in rows])
+    ub = np.concatenate([np.atleast_1d(row.ub).astype(np.float64) for row in rows])
+    return rows, matrix, lb, ub
+
+
+@st.composite
+def ilp_instances(draw):
+    num_regions = draw(st.integers(1, 16))
+    num_tiers = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    penalty = rng.exponential(100.0, (num_regions, num_tiers))
+    cost = rng.random((num_regions, num_tiers))
+    # Zero-cost cells must vanish from the budget row, as a dense row's
+    # structural zeros do once it is sparse.
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    cost[rng.random((num_regions, num_tiers)) < zero_frac] = 0.0
+    lo, hi = cost.min(axis=1).sum(), cost.max(axis=1).sum()
+    budget = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    kind = draw(st.sampled_from(["none", "unbounded", "mixed", "bounded"]))
+    capacity = {
+        "none": None,
+        "unbounded": np.full(num_tiers, -1),
+        "mixed": rng.integers(-1, num_regions + 1, num_tiers),
+        "bounded": rng.integers(0, num_regions + 1, num_tiers),
+    }[kind]
+    return PlacementProblem(penalty, cost, budget, capacity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=ilp_instances())
+def test_one_shot_constraint_matrix_matches_stacked_rows(problem):
+    """The single CSC matrix and its bounds are entry for entry what the
+    stacked per-block constraints give HiGHS, and so is the answer."""
+    from scipy.optimize import Bounds, milp
+
+    from repro.solver.scipy_backend import _constraint_matrix
+
+    rows, ref, ref_lb, ref_ub = _stacked_reference(problem)
+    got = _constraint_matrix(problem)
+    assert got.A.shape == ref.shape
+    np.testing.assert_array_equal(got.A.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.A.indices, ref.indices)
+    np.testing.assert_array_equal(got.A.data, ref.data)
+    np.testing.assert_array_equal(got.lb, ref_lb)
+    np.testing.assert_array_equal(got.ub, ref_ub)
+
+    n = problem.penalty.size
+    result = milp(
+        c=problem.penalty.reshape(n),
+        constraints=rows,
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+        options={"time_limit": 30.0},
+    )
+    solution = solve_scipy(problem)
+    if result.x is None:
+        assert not solution.feasible
+    else:
+        want = result.x.reshape(problem.penalty.shape).argmax(axis=1)
+        np.testing.assert_array_equal(solution.assignment, want)
+        assert solution.optimal == (result.status == 0)

@@ -471,14 +471,24 @@ def test_unloadable_checkpoint_resume_exits_2(tmp_path, capsys):
         assert len(lines) == 1 and "checkpoint" in lines[0], (kind, err)
 
 
+def _resume_exit(path, capsys) -> tuple[int, str]:
+    from repro.cli import main
+
+    code = main(
+        ["serve", "--resume", str(path), "--no-http", "--virtual-clock",
+         "--max-windows", "1"]
+    )
+    return code, capsys.readouterr().err
+
+
 def test_v2_checkpoint_resume_exits_2(tmp_path, capsys):
-    """A v2 envelope is refused by its version before its graph is
-    unpickled: v2 graphs hold the older sampler, KV workload and zbud
-    layouts, which would otherwise load and then fail mid-window."""
+    """v2 and v3 envelopes are refused by their version before their
+    graph is unpickled: v2 graphs hold the older sampler, KV workload and
+    zbud layouts, which would otherwise load and then fail mid-window,
+    and neither carries the digests that guard v4 against corruption."""
     import pickle
 
     from repro.chaos.checkpoint import capture_session, restore_session
-    from repro.cli import main
     from repro.engine.session import Session
     from repro.engine.spec import ScenarioSpec
 
@@ -491,22 +501,80 @@ def test_v2_checkpoint_resume_exits_2(tmp_path, capsys):
         )
     )
     session.run_window()
-    envelope = pickle.loads(capture_session(session))
-    envelope["version"] = 2
-    blob = pickle.dumps(envelope)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
-        restore_session(blob)
-    path = tmp_path / "v2.ckpt"
-    path.write_bytes(blob)
-    code = main(
-        ["serve", "--resume", str(path), "--no-http", "--virtual-clock",
-         "--max-windows", "1"]
+    for version in (2, 3):
+        envelope = pickle.loads(capture_session(session))
+        envelope["version"] = version
+        del envelope["digests"]
+        blob = pickle.dumps(envelope)
+        with pytest.raises(
+            ValueError, match=f"unsupported checkpoint version {version}"
+        ):
+            restore_session(blob)
+        path = tmp_path / f"v{version}.ckpt"
+        path.write_bytes(blob)
+        code, err = _resume_exit(path, capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"version {version}" in lines[0], err
+
+
+def test_corrupt_checkpoint_resume_exits_2(tmp_path, capsys):
+    """One flipped byte in the session graph or in any page-table column
+    fails its digest: ``serve --resume`` exits 2 with one line instead of
+    loading a page table that breaks the capacity laws mid-run."""
+    import pickle
+
+    from repro.chaos.checkpoint import capture_session, restore_session
+    from repro.engine.session import Session
+    from repro.engine.spec import ScenarioSpec
+
+    session = Session(
+        ScenarioSpec(
+            workload="memcached-ycsb",
+            workload_kwargs={
+                "num_pages": 2 * PAGES_PER_REGION,
+                "ops_per_window": 2000,
+            },
+            policy="waterfall",
+            windows=3,
+        )
     )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and "version 2" in lines[0], err
+    for _ in range(2):
+        session.run_window()
+    blob = capture_session(session)
+    restore_session(blob)  # the intact blob loads
+
+    def flipped(buf: bytes) -> bytes:
+        # A byte past the npy header, in the payload.
+        at = len(buf) - 1
+        return buf[:at] + bytes([buf[at] ^ 0x01]) + buf[at + 1 :]
+
+    targets = [("graph", None)] + [
+        (index, name)
+        for index, blobs in enumerate(pickle.loads(blob)["columns"])
+        for name in blobs
+    ]
+    assert ("graph", None) in targets and (0, "tier") in targets
+    for index, name in targets:
+        envelope = pickle.loads(blob)
+        if name is None:
+            envelope["graph"] = flipped(envelope["graph"])
+            part = "session graph"
+        else:
+            columns = envelope["columns"][index]
+            columns[name] = flipped(columns[name])
+            part = f"{name!r} column"
+        bad = pickle.dumps(envelope)
+        with pytest.raises(ValueError, match="corrupt checkpoint"):
+            restore_session(bad)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bad)
+        code, err = _resume_exit(path, capsys)
+        assert code == 2, (index, name)
+        assert "Traceback" not in err, (index, name)
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and part in lines[0], (index, name, err)
 
 
 @settings(max_examples=30, deadline=None)
