@@ -2,8 +2,8 @@
 
 One command (``python -m repro arena``) sweeps every policy x workload
 x α cell, runs each cell as an independent engine session
-(process-parallel, seeds spawned per cell from the arena seed), and
-emits:
+(process-parallel; every policy replays the same seeded stream of a
+workload, generated once per grid), and emits:
 
 * ``leaderboard.{md,csv,json}`` -- the deterministic ranking (TCO
   dollars saved, p99 latency, migration volume, thrash count, modeled

@@ -4,17 +4,20 @@ An :class:`ArenaSpec` validates its axes eagerly (policy names against
 the live :mod:`repro.policies` registry, workloads against the workload
 registry) and expands into one :class:`ArenaCell` per grid point.  Only
 α-requiring policies fan out over the α axis; the rest get a single
-cell.  Every cell's seed is spawned from the arena seed with
-``numpy.random.SeedSequence`` in expansion order, so the grid is
-reproducible from ``(seed, axes)`` alone and independent of how many
-worker processes run it.
+cell.  Cells use common random numbers: a cell's scenario seed is a
+``SeedSequence`` child of the arena seed keyed by a stable digest of its
+workload name (and a replicate index, 0 for now), never by its policy,
+its α or its position in the expansion.  Every policy therefore races
+on the same workload stream, compressibility draw and PEBS stream, and
+adding or reordering axis entries leaves every other cell's seed alone.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import asdict, dataclass, field
 
-from repro.core.seeding import spawn_seeds
+from repro.core.seeding import child_seed
 from repro.engine.spec import ScenarioSpec
 from repro.policies import validate_policy
 from repro.workloads.registry import WORKLOADS
@@ -52,7 +55,8 @@ class ArenaSpec:
         windows: Profile windows per cell.
         scale: Size factor applied to each workload's scalable kwargs.
         percentile: Threshold knob for threshold-based policies.
-        seed: Arena base seed; cell seeds are spawned from it.
+        seed: Arena base seed; each workload's scenario seed is derived
+            from it (:func:`scenario_seed`).
         node_memory_gb: Modeled per-node memory for the dollar column.
         workload_kwargs: Extra factory kwargs applied to every cell
             (tests shrink cells with ``num_pages``/``ops_per_window``).
@@ -83,6 +87,16 @@ class ArenaSpec:
             raise ValueError("an arena needs at least one policy")
         if not self.workloads:
             raise ValueError("an arena needs at least one workload")
+        # Alphas compare by the label cell ids carry, so two values that
+        # print alike cannot yield two cells with one id.
+        for axis, labels in (
+            ("policies", list(self.policies)),
+            ("workloads", list(self.workloads)),
+            ("alphas", [f"{alpha:g}" for alpha in self.alphas]),
+        ):
+            repeated = sorted({v for v in labels if labels.count(v) > 1})
+            if repeated:
+                raise ValueError(f"duplicate {axis}: {', '.join(repeated)}")
         for policy in self.policies:
             info = validate_policy(policy)
             if info.requires_alpha and not self.alphas:
@@ -147,12 +161,11 @@ class ArenaSpec:
         return points
 
     def cells(self) -> list[ArenaCell]:
-        """Expand into per-cell scenario specs with spawned seeds."""
-        points = self.grid()
-        seeds = spawn_seeds(self.seed, len(points))
+        """Expand into per-cell scenario specs with shared workload seeds."""
         cells = []
         adaptive_block = self._adaptive_block()
-        for (policy, workload, alpha), seed in zip(points, seeds):
+        for policy, workload, alpha in self.grid():
+            seed = scenario_seed(self.seed, workload)
             tag = f"{policy}@{alpha:g}" if alpha is not None else policy
             cell_id = f"{tag}/{workload}"
             scenario = ScenarioSpec(
@@ -179,3 +192,15 @@ class ArenaSpec:
                 )
             )
         return cells
+
+
+def scenario_seed(arena_seed: int, workload: str) -> int:
+    """The scenario seed every cell of ``workload`` shares.
+
+    A pure function of the arena seed and the workload name, digested
+    with CRC-32 because, unlike ``hash()``, it is the same in every
+    process.  Policy, α and grid position play no part.  The last key
+    is the replicate slot: a later replicates axis keeps replicate 0,
+    and with it every committed result.
+    """
+    return child_seed(arena_seed, zlib.crc32(workload.encode()), 0)

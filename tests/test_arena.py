@@ -15,10 +15,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.arena.runner as runner
 from repro.arena import ArenaSpec, leaderboard_rows, run_arena
 from repro.cli import main
+from repro.engine.session import Session
+from repro.workloads.base import Workload
 
 GOLDEN = Path(__file__).parent / "goldens" / "arena_cells.json"
 
@@ -49,11 +53,62 @@ class TestSpec:
         assert ("tpp", "pingpong", None) in points
         assert len(points) == 5
 
-    def test_cell_seeds_are_spawned_and_distinct(self):
-        cells = MICRO_SPEC.cells()
-        seeds = [c.seed for c in cells]
-        assert len(set(seeds)) == len(seeds)
-        assert [c.seed for c in MICRO_SPEC.cells()] == seeds
+    CRN_SPEC = ArenaSpec(
+        policies=("waterfall", "am", "tpp", "adaptive"),
+        workloads=("pingpong", "masim", "tenant-churn"),
+        alphas=(0.3, 0.7),
+    )
+
+    @staticmethod
+    def _seeds(spec) -> dict[str, int]:
+        return {c.cell_id: c.seed for c in spec.cells()}
+
+    def test_cells_of_a_workload_share_one_seed(self):
+        by_workload: dict[str, set[int]] = {}
+        for cell in self.CRN_SPEC.cells():
+            assert cell.scenario.seed == cell.seed
+            by_workload.setdefault(cell.workload, set()).add(cell.seed)
+        assert all(len(seeds) == 1 for seeds in by_workload.values())
+        shared = [seeds.pop() for seeds in by_workload.values()]
+        assert len(set(shared)) == len(shared)
+
+    def test_seeds_ignore_axis_order_and_membership(self):
+        seeds = self._seeds(self.CRN_SPEC)
+        for changes in (
+            {"policies": ("adaptive", "tpp", "am", "waterfall")},
+            {"workloads": ("tenant-churn", "pingpong", "masim")},
+            {"alphas": (0.7, 0.3)},
+            {"policies": ("jenga", "waterfall", "am", "tpp", "adaptive")},
+            {"policies": ("am",)},
+            {"workloads": ("xsbench", "masim", "pingpong", "tenant-churn")},
+            {"workloads": ("masim",)},
+        ):
+            other = self._seeds(
+                ArenaSpec(**{**self.CRN_SPEC.to_dict(), **changes})
+            )
+            common = seeds.keys() & other.keys()
+            assert common, changes
+            assert {k: other[k] for k in common} == {
+                k: seeds[k] for k in common
+            }, changes
+
+    def test_seed_depends_on_arena_seed(self):
+        other = ArenaSpec(**{**self.CRN_SPEC.to_dict(), "seed": 1})
+        assert self._seeds(other)["tpp/masim"] != self._seeds(
+            self.CRN_SPEC
+        )["tpp/masim"]
+
+    @pytest.mark.parametrize(
+        "axis, values, shown",
+        [
+            ("policies", ("tpp", "am", "tpp"), "tpp"),
+            ("workloads", ("pingpong", "masim", "pingpong"), "pingpong"),
+            ("alphas", (0.5, 0.3, 0.50), "0.5"),
+        ],
+    )
+    def test_duplicate_axis_entries_rejected(self, axis, values, shown):
+        with pytest.raises(ValueError, match=f"duplicate {axis}: {shown}$"):
+            ArenaSpec(**{axis: values})
 
     def test_unknown_policy_rejected_eagerly(self):
         with pytest.raises(ValueError, match="available"):
@@ -133,6 +188,21 @@ class TestRunner:
         for row in rows:
             assert row["thrash_metric"] == float(row["thrash"])
 
+    def test_adding_a_policy_leaves_other_rows_byte_identical(self, arena_dir):
+        _, arena = arena_dir
+        grown = run_arena(
+            ArenaSpec(
+                **{
+                    **MICRO_SPEC.to_dict(),
+                    "policies": ("adaptive", *MICRO_SPEC.policies),
+                }
+            )
+        )
+        before = {c.cell_id: json.dumps(c.row) for c in arena.cells}
+        after = {c.cell_id: json.dumps(c.row) for c in grown.cells}
+        assert set(after) - set(before) == {"adaptive/pingpong"}
+        assert {k: after[k] for k in before} == before
+
     def test_mix_mismatch_reports_skipped_not_failed(self):
         spec = ArenaSpec(
             policies=("jenga",),
@@ -148,6 +218,122 @@ class TestRunner:
         assert not arena.all_ok
 
 
+#: Two workloads, one of them phase-changing, and an α fan-out: five
+#: cells per workload share each stream.
+MEMO_SPEC = ArenaSpec(
+    policies=("waterfall", "am", "tpp", "adaptive"),
+    workloads=("pingpong", "flash-crowd"),
+    alphas=(0.3, 0.7),
+    windows=3,
+    scale=1.0,
+    seed=5,
+    workload_kwargs={"num_pages": 1024, "ops_per_window": 3000},
+)
+
+
+class TestStreamMemo:
+    @staticmethod
+    def _rows() -> str:
+        return json.dumps(
+            leaderboard_rows(run_arena(MEMO_SPEC).cells), sort_keys=True
+        )
+
+    @pytest.fixture(scope="class")
+    def memo_off_rows(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runner, "STREAM_MEMO_BYTES", 0)
+            return self._rows()
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """Workload names in the order cells generated (not replayed) them."""
+        names: list[str] = []
+        make = runner.make_workload
+
+        def counting(name, **kwargs):
+            names.append(name)
+            return make(name, **kwargs)
+
+        monkeypatch.setattr(runner, "make_workload", counting)
+        return names
+
+    def test_memo_on_equals_memo_off(self, memo_off_rows, generated):
+        assert self._rows() == memo_off_rows
+        assert generated == ["pingpong", "flash-crowd"]
+        assert runner._streams is None
+
+    def test_zero_budget_generates_every_cell(
+        self, memo_off_rows, generated, monkeypatch
+    ):
+        monkeypatch.setattr(runner, "STREAM_MEMO_BYTES", 0)
+        assert self._rows() == memo_off_rows
+        assert len(generated) == len(MEMO_SPEC.cells())
+
+    def test_budget_bounds_what_is_kept(self):
+        cell = MEMO_SPEC.cells()[0]
+        memo = runner.StreamMemo(budget=3 * 3000 * 2 - 1)
+        first = memo.workload(cell.scenario)
+        for _ in range(3):
+            assert first.next_window().dtype == np.int64
+        memo.keep(cell.scenario, first)
+        assert first.batches is None and memo.nbytes == 0
+
+        memo = runner.StreamMemo(budget=3 * 3000 * 2)
+        recorder = memo.workload(cell.scenario)
+        batches = [recorder.next_window() for _ in range(3)]
+        memo.keep(cell.scenario, recorder)
+        assert memo.nbytes == 3 * 3000 * 2
+        assert [b.dtype for b in recorder.batches] == [np.uint16] * 3
+        replay = memo.workload(cell.scenario)
+        assert type(replay) is not type(recorder)
+        for batch in batches:
+            assert np.array_equal(replay.next_window(), batch)
+        assert (replay.name, replay.num_pages, replay.write_fraction) == (
+            recorder.name,
+            recorder.num_pages,
+            recorder.write_fraction,
+        )
+
+    def test_mutating_a_batch_cannot_reach_the_memo(
+        self, memo_off_rows, monkeypatch
+    ):
+        next_window = Workload.next_window
+
+        def scribbling(self):
+            batch = next_window(self)
+            handed = batch.copy()
+            batch[:] = 0  # a consumer writing into what it was handed
+            return handed
+
+        monkeypatch.setattr(Workload, "next_window", scribbling)
+        assert self._rows() == memo_off_rows
+
+    def test_failed_cell_leaves_no_stream(
+        self, memo_off_rows, generated, monkeypatch
+    ):
+        run_window = Session.run_window
+
+        def failing(self, *args, **kwargs):
+            if self.spec.name == "waterfall/pingpong" and len(self.records) == 2:
+                raise RuntimeError("injected mid-run failure")
+            return run_window(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "run_window", failing)
+        arena = run_arena(MEMO_SPEC)
+        failed = [c.cell_id for c in arena.cells if c.status != "ok"]
+        assert failed == ["waterfall/pingpong"]
+        assert generated == ["pingpong", "flash-crowd", "pingpong"]
+        expected = {r["cell_id"]: r for r in json.loads(memo_off_rows)}
+        for row in leaderboard_rows(arena.cells):
+            row.pop("rank")
+            want = dict(expected[row["cell_id"]])
+            want.pop("rank")
+            assert json.dumps(row, sort_keys=True) == json.dumps(
+                want, sort_keys=True
+            )
+        assert runner._streams is None
+
+
 class TestCli:
     def test_unknown_policy_exits_2_with_names(self, capsys):
         assert main(["arena", "--policies", "nope"]) == 2
@@ -161,6 +347,11 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "unknown policy" in err and "waterfall" in err
+
+    def test_duplicate_policy_exits_2(self, capsys):
+        assert main(["arena", "--policies", "tpp,tpp"]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate policies: tpp" in err
 
     def test_list_shows_policy_backends(self, capsys):
         assert main(["list"]) == 0
